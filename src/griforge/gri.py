@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .errors import BetaOutOfRange, BetaTooLarge
+from .errors import BetaOutOfRange, BetaTooLarge, InvariantBreach
 from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso, iso_from_phi_x
 from .poly import random_monic_irreducible
 from .zmod import Modulus
@@ -222,7 +222,8 @@ def reduce_to_ffi(inst: GriInstance) -> GriInstance:
             src_bar.elem(a.rep.reduce_mod_p().coeffs) for a in inst.secret.preimages
         )
         for before, after in zip(inst.secret.preimages, preimages):
-            assert before.rep.coeffs == after.rep.coeffs
+            if before.rep.coeffs != after.rep.coeffs:
+                raise InvariantBreach("preimage changed under reduction mod p")
         secret_bar = GriSecret(src_bar, iso_bar, preimages)
     params = inst.params._replace(s=1)
     return GriInstance(params, dst_bar, images, secret_bar)

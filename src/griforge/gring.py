@@ -16,6 +16,7 @@ from . import linalg
 from .errors import (
     CtxMismatch,
     InvalidIsomorphism,
+    InvariantBreach,
     ModulusMismatch,
     NotARootModP,
     NotASimpleRoot,
@@ -170,7 +171,8 @@ class RingElem:
             two = self.ctx.elem([2])
             for _ in range((self.ctx.s - 1).bit_length()):
                 z = z * (two - self * z)
-        assert (self * z) == self.ctx.one()
+        if self * z != self.ctx.one():
+            raise InvariantBreach("Newton inversion did not converge")
         return z
 
     def __repr__(self):
@@ -211,13 +213,16 @@ def hensel_iterates(g: Poly, alpha0: RingElem, ctx: RingCtx) -> list[RingElem]:
         raise NotASimpleRoot("g'(alpha0) is not a unit")
     beta = alpha0
     betas = [beta]
-    assert _in_ideal(val, 1)
+    if not _in_ideal(val, 1):
+        raise InvariantBreach("g(beta_0) is not in (p)")
     for i in range(ctx.s - 1):
         beta = beta - eval_poly(gprime, beta).inv() * val
         val = eval_poly(g, beta)
-        assert _in_ideal(val, i + 2)
+        if not _in_ideal(val, i + 2):
+            raise InvariantBreach(f"g(beta_{i + 1}) is not in (p^{i + 2})")
         betas.append(beta)
-    assert betas[-1].reduce_mod_p() == alpha0.reduce_mod_p()
+    if betas[-1].reduce_mod_p() != alpha0.reduce_mod_p():
+        raise InvariantBreach("lifted root changed its residue")
     return betas
 
 

@@ -7,8 +7,9 @@ coordinate j the vector of j-th preimage coefficients is a lattice
 point, and it is unusually short whenever beta is small, so lattice
 reduction surfaces it.
 
-All lattice data is integer-exact; Gram-Schmidt data is kept as
-Fraction, so the Lovasz condition is checked without rounding.
+All lattice data is integer-exact; LLL keeps Gram-Schmidt data as
+integer Gram determinants and scaled coefficients, so the size and
+Lovasz tests are checked without rounding.
 """
 
 import math
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import BadDelta, CtxMismatch
+from .errors import BadDelta, CtxMismatch, InvariantBreach
 from .gri import GriInstance
 from .zmod import Modulus, centered
 
@@ -96,7 +97,8 @@ def hnf_row_basis(rows) -> tuple[list[list[int]], list[list[int]]]:
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
                     t[i] = [x - q * y for x, y in zip(t[i], t[r])]
             r += 1
-    assert all(not any(a[i]) for i in range(r, nr))
+    if any(any(a[i]) for i in range(r, nr)):
+        raise InvariantBreach("echelon form left a nonzero row below the pivots")
     return a[:r], t[:r]
 
 
@@ -121,53 +123,28 @@ def in_lattice(v, rows) -> bool:
     return solve_in_basis(v, basis) is not None
 
 
-def _fdot(ints, fracs):
-    return sum((x * y for x, y in zip(ints, fracs)), Fraction(0))
+def _integral_gso(basis):
+    """Integral Gram-Schmidt data (d, lam), or None for dependent rows.
 
-
-class _GSO:
-    """Lazy exact Gram-Schmidt data over a mutable integer basis.
-
-    Rows below `valid` are stale; `ensure` recomputes them in order.
-    Row i only depends on rows <= i, so invalidating from the lowest
-    modified index keeps everything consistent.
+    d[i] is the Gram determinant of the first i rows (d[0] = 1) and
+    lam[i][j] = d[j+1] * mu_ij for j < i; both are integers, and the
+    divisions below are exact (Cohen, Alg. 2.6.7, step 2).
     """
-
-    def __init__(self, basis):
-        self.basis = basis
-        self.star: list[list[Fraction]] = []
-        self.norm_sq: list[Fraction] = []
-        self.mu: list[list[Fraction]] = []
-        self.valid = 0
-
-    def ensure(self, upto: int):
-        while self.valid <= upto:
-            i = self.valid
-            v = [Fraction(x) for x in self.basis[i]]
-            mu_row = []
-            for j in range(i):
-                nj = self.norm_sq[j]
-                m = _fdot(self.basis[i], self.star[j]) / nj if nj else Fraction(0)
-                mu_row.append(m)
-                if m:
-                    v = [vi - m * sj for vi, sj in zip(v, self.star[j])]
-            nsq = sum((x * x for x in v), Fraction(0))
-            if i < len(self.star):
-                self.star[i], self.norm_sq[i], self.mu[i] = v, nsq, mu_row
-            else:
-                self.star.append(v)
-                self.norm_sq.append(nsq)
-                self.mu.append(mu_row)
-            self.valid = i + 1
-
-    def touch(self, i: int):
-        self.valid = min(self.valid, i)
-
-
-def _rank_deficient(rows) -> bool:
-    gso = _GSO([list(r) for r in rows])
-    gso.ensure(len(rows) - 1)
-    return any(x == 0 for x in gso.norm_sq)
+    d = [1]
+    lam = []
+    for i, bi in enumerate(basis):
+        row = []
+        lam.append(row)
+        for j in range(i + 1):
+            lj = lam[j]
+            u = sum(x * y for x, y in zip(bi, basis[j]))
+            for m in range(j):
+                u = (d[m + 1] * u - row[m] * lj[m]) // d[m]
+            row.append(u)
+        if not u:
+            return None
+        d.append(row.pop())
+    return d, lam
 
 
 def lll_reduce(rows, delta=DEFAULT_DELTA) -> list[list[int]]:
@@ -176,36 +153,49 @@ def lll_reduce(rows, delta=DEFAULT_DELTA) -> list[list[int]]:
     Zero rows are dropped and linearly dependent inputs are first
     condensed to a basis by unimodular row operations; the output is a
     size-reduced basis of the same lattice satisfying the Lovasz
-    condition with parameter delta.
+    condition with parameter delta. This is the fraction-free integral
+    LLL of de Weger (Cohen, Alg. 2.6.7): it keeps the Gram determinants
+    d_i and lam_ij = d_{j+1} * mu_ij, so every test is on integers.
     """
     delta = Fraction(delta)
     if not (Fraction(1, 4) < delta < 1):
         raise BadDelta(f"delta must lie in (1/4, 1), got {delta}")
-    work = [r for r in _validate_matrix(rows) if any(r)]
-    if not work:
+    num, den = delta.numerator, delta.denominator
+    basis = [r for r in _validate_matrix(rows) if any(r)]
+    if not basis:
         return []
-    if len(work) > len(work[0]) or _rank_deficient(work):
-        work, _ = hnf_row_basis(work)
-    basis = [list(r) for r in work]
-    d = len(basis)
-    gso = _GSO(basis)
-    half = Fraction(1, 2)
+    gso = _integral_gso(basis) if len(basis) <= len(basis[0]) else None
+    if gso is None:
+        basis, _ = hnf_row_basis(basis)
+        gso = _integral_gso(basis)
+    d, lam = gso
+    r = len(basis)
     k = 1
-    while k < d:
-        gso.ensure(k)
+    while k < r:
+        bk, lk = basis[k], lam[k]
         for j in range(k - 1, -1, -1):
-            m = gso.mu[k][j]
-            if m > half or m < -half:
-                q = math.floor(m + half)
-                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
-                gso.touch(k)
-                gso.ensure(k)
-        if gso.norm_sq[k] >= (delta - gso.mu[k][k - 1] ** 2) * gso.norm_sq[k - 1]:
+            dj = d[j + 1]
+            if 2 * abs(lk[j]) > dj:
+                q = (2 * lk[j] + dj) // (2 * dj)
+                bk = [x - q * y for x, y in zip(bk, basis[j])]
+                lk[j] -= q * dj
+                for i, x in enumerate(lam[j]):
+                    lk[i] -= q * x
+        basis[k] = bk
+        lkk = lk[k - 1]
+        if den * d[k + 1] * d[k - 1] >= num * d[k] ** 2 - den * lkk * lkk:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            gso.touch(k - 1)
-            k = max(k - 1, 1)
+            continue
+        basis[k], basis[k - 1] = basis[k - 1], bk
+        lam[k - 1], lk[: k - 1] = lk[: k - 1], lam[k - 1]
+        b = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, r):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+            li[k - 1] = (b * t + lkk * li[k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
     return basis
 
 
@@ -313,7 +303,8 @@ def run_attack(
     basis, transform = hnf_row_basis(d_rows)
     reduced = lll_reduce(basis, delta)
     k, n, m = params.k, params.n, instance.dst.m
-    assert len(basis) == k  # the p^s identity block forces full rank
+    if len(basis) != k:  # the p^s identity block forces full rank
+        raise InvariantBreach(f"attack lattice has rank {len(basis)}, expected {k}")
     det = 1
     for i, row in enumerate(basis):
         det *= row[i]
@@ -323,7 +314,8 @@ def run_attack(
     candidates = []
     for cand in raw:
         coords = solve_in_basis(cand.vector, basis)
-        assert coords is not None  # reduced rows generate the same lattice
+        if coords is None:  # reduced rows generate the same lattice
+            raise InvariantBreach("reduced-basis vector is not in the attack lattice")
         weights = [
             sum(coords[i] * transform[i][j] for i in range(len(coords)))
             for j in range(len(d_rows))

@@ -10,13 +10,22 @@ from functools import cached_property
 
 from .errors import ModulusMismatch, NotAUnit
 
-# Exact Miller-Rabin base set for n < 3.3 * 10^24, far beyond 64-bit.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as bases is exact below PSI_13,
+# the least strong pseudoprime to all of them (about 3.3 * 10^24).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 _TRIAL_BOUND = 1_000_000
+# Cap on s * (bit length of p - 1), a lower bound on log2(p^s), so an
+# oversized modulus is refused before p^s is ever computed.
+MAX_MODULUS_BITS = 4096
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for moduli up to 64-bit scale."""
+    """Miller-Rabin primality test, deterministic for n < PSI_13.
+
+    Above PSI_13 a True answer only means a strong probable prime to
+    the bases 2..41; Modulus refuses such p.
+    """
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -88,6 +97,11 @@ class Modulus:
     s: int
 
     def __post_init__(self):
+        bits = self.s * (self.p.bit_length() - 1)
+        if bits > MAX_MODULUS_BITS:
+            raise ValueError(f"modulus too large: s * (bits of p - 1) = {bits} > {MAX_MODULUS_BITS}")
+        if self.p >= PSI_13:
+            raise ValueError(f"p must be below {PSI_13}, where primality testing is exact")
         if not is_prime(self.p):
             raise ValueError("p must be prime")
         if self.s < 1:

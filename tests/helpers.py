@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from griforge import Poly, centered, eval_in_field
+from griforge import Poly, centered, eval_in_field, hnf_row_basis
 
 
 def schoolbook_rem(a, f, m):
@@ -155,6 +155,87 @@ def is_lll_reduced(rows, delta: Fraction) -> bool:
         if nsq[i] < (delta - mu[i][i - 1] ** 2) * nsq[i - 1]:
             return False
     return True
+
+
+class _FractionGSO:
+    """Lazy exact Gram-Schmidt data over a mutable integer basis.
+
+    Rows below `valid` are stale; `ensure` recomputes them in order.
+    Row i only depends on rows <= i, so invalidating from the lowest
+    modified index keeps everything consistent.
+    """
+
+    def __init__(self, basis):
+        self.basis = basis
+        self.star = []
+        self.norm_sq = []
+        self.mu = []
+        self.valid = 0
+
+    def ensure(self, upto):
+        while self.valid <= upto:
+            i = self.valid
+            v = [Fraction(x) for x in self.basis[i]]
+            mu_row = []
+            for j in range(i):
+                nj = self.norm_sq[j]
+                dot = sum((x * y for x, y in zip(self.basis[i], self.star[j])), Fraction(0))
+                m = dot / nj if nj else Fraction(0)
+                mu_row.append(m)
+                if m:
+                    v = [vi - m * sj for vi, sj in zip(v, self.star[j])]
+            nsq = sum((x * x for x in v), Fraction(0))
+            if i < len(self.star):
+                self.star[i], self.norm_sq[i], self.mu[i] = v, nsq, mu_row
+            else:
+                self.star.append(v)
+                self.norm_sq.append(nsq)
+                self.mu.append(mu_row)
+            self.valid = i + 1
+
+    def touch(self, i):
+        self.valid = min(self.valid, i)
+
+
+def _fraction_dependent(rows):
+    gso = _FractionGSO([list(r) for r in rows])
+    gso.ensure(len(rows) - 1)
+    return any(x == 0 for x in gso.norm_sq)
+
+
+def fraction_lll(rows, delta):
+    """Textbook LLL over Fraction Gram-Schmidt data.
+
+    The reference for griforge.lll_reduce: same row handling (zero rows
+    dropped, echelon fallback for wide or dependent inputs), full size
+    reduction of row k before the Lovasz test, rounding floor(mu + 1/2).
+    """
+    delta = Fraction(delta)
+    work = [list(map(int, r)) for r in rows if any(r)]
+    if not work:
+        return []
+    if len(work) > len(work[0]) or _fraction_dependent(work):
+        work, _ = hnf_row_basis(work)
+    basis = [list(r) for r in work]
+    gso = _FractionGSO(basis)
+    half = Fraction(1, 2)
+    k = 1
+    while k < len(basis):
+        gso.ensure(k)
+        for j in range(k - 1, -1, -1):
+            m = gso.mu[k][j]
+            if m > half or m < -half:
+                q = math.floor(m + half)
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                gso.touch(k)
+                gso.ensure(k)
+        if gso.norm_sq[k] >= (delta - gso.mu[k][k - 1] ** 2) * gso.norm_sq[k - 1]:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            gso.touch(k - 1)
+            k = max(k - 1, 1)
+    return basis
 
 
 def enumerate_shortest(basis):

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
+import griforge
 from griforge import gen_instance
 from griforge.cli import (
     load_composite,
@@ -209,6 +214,41 @@ def test_invariant_breach_exits_4(tmp_path, monkeypatch, capsys):
                 "--out", str(tmp_path / "x.txt"))
     assert code == 4
     assert "self-check" in capsys.readouterr().err
+
+
+def test_invariant_breach_survives_optimize_flag(tmp_path):
+    # python -O strips assert statements; the attack's self-checks must still
+    # end in exit code 4 with a message, not a traceback
+    inst = gen_instance(2, 8, 6, 1, 12, random.Random(8))
+    pub = tmp_path / "pub.txt"
+    pub.write_text(serialize_instance(inst, include_secret=False))
+    script = (
+        "import sys\n"
+        "import griforge.lattice\n"
+        "from griforge.cli import main\n"
+        "griforge.lattice.solve_in_basis = lambda v, basis: None\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(griforge.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "attack", "--in", str(pub)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "not in the attack lattice" in proc.stderr
+
+
+def test_oversized_modulus_rejected_quickly(tmp_path, capsys):
+    params = _gen(tmp_path)
+    huge = tmp_path / "huge.txt"
+    huge.write_text(params.read_text().replace("p: 2\ns: 3\n", "p: 3\ns: 1000000000\n"))
+    start = time.perf_counter()
+    code = _run("make-iso", "--in", str(huge), "--seed", "5", "--out", str(tmp_path / "iso.txt"))
+    assert code == 3 and time.perf_counter() - start < 1.0
+    assert "too large" in capsys.readouterr().err
 
 
 def test_sample_requires_iso(tmp_path, capsys):

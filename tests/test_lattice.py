@@ -17,6 +17,7 @@ from griforge import (
 from griforge.errors import BadDelta, CtxMismatch
 from helpers import (
     enumerate_shortest,
+    fraction_lll,
     gram_det,
     is_lll_reduced,
     transform_between,
@@ -116,6 +117,41 @@ def test_lll_handles_dependent_rows():
         assert in_lattice(row, reduced)
     for row in reduced:
         assert in_lattice(row, rows)
+
+
+def _oracle_bases(rng, count):
+    """Square, wide, rank-deficient and zero-row bases, in turn."""
+    for t in range(count):
+        cols = rng.randrange(1, 7)
+        rows = [[rng.randint(-60, 60) for _ in range(cols)] for _ in range(cols)]
+        kind = t % 4
+        if kind == 1:
+            rows += [[rng.randint(-60, 60) for _ in range(cols)] for _ in range(rng.randrange(1, 4))]
+        elif kind == 2:
+            a, b = rng.sample(range(cols), 2) if cols > 1 else (0, 0)
+            rows[a] = [rng.randint(-3, 3) * x for x in rows[b]]
+        elif kind == 3:
+            rows.insert(rng.randrange(cols + 1), [0] * cols)
+        yield rows
+
+
+@pytest.mark.parametrize(
+    "delta", [Fraction(51, 100), Fraction(3, 4), Fraction(99, 100), 0.99], ids=str
+)
+def test_lll_matches_fraction_oracle(delta):
+    for rows in _oracle_bases(random.Random(12), 200):
+        reduced = lll_reduce(rows, delta)
+        assert reduced == fraction_lll(rows, delta), rows
+        assert is_lll_reduced(reduced, Fraction(delta))
+
+
+@pytest.mark.parametrize("beta", [1, 64])
+def test_lll_matches_fraction_oracle_on_attack_lattice(beta):
+    inst = gen_instance(2, 8, 6, beta, 12, random.Random(0))
+    basis, _ = hnf_row_basis(build_attack_lattice(inst.images, inst.dst.modulus))
+    reduced = lll_reduce(basis, DELTA)
+    assert reduced == fraction_lll(basis, DELTA)
+    assert is_lll_reduced(reduced, DELTA)
 
 
 def test_hnf_row_basis_transform_consistent():

@@ -4,6 +4,7 @@ import pytest
 
 from griforge import Modulus, centered_reduce, is_prime
 from griforge.errors import ModulusMismatch, NotAUnit
+from griforge.zmod import MAX_MODULUS_BITS, PSI_13
 
 
 def test_centered_reduce_examples():
@@ -73,9 +74,23 @@ def test_modulus_validation():
         Modulus(4, 1)
     with pytest.raises(ValueError):
         Modulus(2, 0)
+    assert Modulus(2, MAX_MODULUS_BITS).m == 2**MAX_MODULUS_BITS
+    with pytest.raises(ValueError, match="too large"):
+        Modulus(2, MAX_MODULUS_BITS + 1)
+    with pytest.raises(ValueError, match="too large"):
+        Modulus(3, 10**9)  # refused before 3**s is computed
 
 
 def test_is_prime_covers_mr_range():
     assert is_prime(2) and is_prime(97) and is_prime(1_000_003)
     assert is_prime(2**61 - 1)  # above the trial-division bound
     assert not is_prime(1) and not is_prime(561) and not is_prime(2**61 + 1)
+    # psi_12: the least strong pseudoprime to the bases 2..37, caught by 41
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441 and not is_prime(psi_12)
+    with pytest.raises(ValueError, match="prime"):
+        Modulus(psi_12, 1)
+    # psi_13 fools the bases 2..41, so Modulus refuses p from there on
+    assert PSI_13 == 1287836182261 * 2575672364521 and is_prime(PSI_13)
+    with pytest.raises(ValueError, match="below"):
+        Modulus(PSI_13, 1)
