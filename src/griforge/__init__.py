@@ -19,15 +19,7 @@ from .crt import (
     crt_ints,
     crt_split_elem,
 )
-from .ffield import (
-    FieldCtx,
-    FieldElem,
-    FieldIsomorphism,
-    build_field_iso,
-    eval_in_field,
-    field_iso_from_root,
-    find_root,
-)
+from .ffield import find_root
 from .gri import (
     ChiBeta,
     DecisionalChallenge,
@@ -43,7 +35,6 @@ from .gri import (
     random_guess_strategy,
     reduce_to_ffi,
     run_distinguisher_experiment,
-    sample_chi,
     wilson_interval,
 )
 from .gring import (
@@ -52,6 +43,7 @@ from .gring import (
     RingElem,
     build_ring_iso,
     eval_poly,
+    field_iso_from_root,
     hensel_iterates,
     hensel_lift,
     iso_from_phi_x,
@@ -70,6 +62,6 @@ from .lattice import (
     solve_in_basis,
 )
 from .poly import Poly, is_irreducible_mod_p, random_monic_irreducible
-from .zmod import Modulus, ZmodElem, centered, centered_reduce, invmod, is_prime, xgcd
+from .zmod import Modulus, centered, invmod, is_prime, xgcd
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ centered coefficients. Secret material always lives under keys
 prefixed `secret.`, so public exports can be checked mechanically.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 internal
-invariant breach.
+invariant breach. Untrusted n and k are bounded by MAX_N and MAX_K
+before any polynomial arithmetic, so oversized input fails fast.
 """
 
 import argparse
@@ -34,6 +35,8 @@ from .zmod import Modulus
 
 FORMAT_HEADER = "griforge 1"
 SEED_ENV = "GRIFORGE_SEED"
+MAX_N = 64
+MAX_K = 256
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +92,12 @@ def _take_poly(fields: dict[str, str], key: str, modulus: Modulus) -> Poly:
         raise ValidationError(f"field {key!r} is not a polynomial") from None
 
 
+def _check_size(n: int | None, k: int | None = None):
+    for label, value, bound in (("n", n, MAX_N), ("k", k, MAX_K)):
+        if value is not None and value > bound:
+            raise ValidationError(f"{label} = {value} is above the bound {label} <= {bound}")
+
+
 def _reject_leftovers(fields: dict[str, str]):
     if fields:
         raise ValidationError(f"unknown fields: {', '.join(sorted(fields))}")
@@ -141,6 +150,7 @@ def load_params(text: str) -> ParamData:
     seed = _take_opt_int(fields, "seed")
     beta = _take_opt_int(fields, "beta")
     k = _take_opt_int(fields, "k")
+    _check_size(n, k)
     big_f = _take_poly(fields, "F", modulus)
     f = _take_poly(fields, "secret.f", modulus) if "secret.f" in fields else None
     phi_x = _take_poly(fields, "secret.phi_x", modulus) if "secret.phi_x" in fields else None
@@ -206,6 +216,7 @@ def load_instance(text: str) -> GriInstance:
         raise ValidationError(str(exc)) from None
     if beta < 1 or k < 1:
         raise ValidationError("beta and k must be >= 1")
+    _check_size(n, k)
     big_f = _take_poly(fields, "F", modulus)
     _check_defining(big_f, n, "F")
     dst = RingCtx(big_f)
@@ -273,6 +284,7 @@ def load_composite(text: str) -> tuple[CompositeCtx, CompositeCtx | None]:
     n = _take_int(fields, "n")
     m = _take_int(fields, "m")
     count = _take_int(fields, "components")
+    _check_size(n)
     comps = []
     secret_polys = []
     for i in range(1, count + 1):
@@ -381,6 +393,7 @@ def _write_out(path: str, text: str):
 def cmd_gen_params(args) -> int:
     if args.n < 1:
         raise ValidationError("n must be >= 1")
+    _check_size(args.n, args.k)
     try:
         modulus = Modulus(args.p, args.s)
     except ValueError as exc:
@@ -414,6 +427,7 @@ def _instance_pieces(data: ParamData, args):
     k = args.k if args.k is not None else data.k
     if beta is None or k is None:
         raise ValidationError("beta and k must come from flags or the params file")
+    _check_size(data.n, k)
     if data.f is None or data.phi_x is None:
         raise ValidationError("a params file with secret.f and secret.phi_x is required (run make-iso)")
     src, dst = RingCtx(data.f), RingCtx(data.F)

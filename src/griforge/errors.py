@@ -29,10 +29,6 @@ class NoRoot(GriforgeError):
     """Root finding was called outside its contract."""
 
 
-class DivisionByZero(GriforgeError):
-    """Field inversion of zero."""
-
-
 class NotARootModP(GriforgeError):
     """Lifting start value does not reduce to a root."""
 
@@ -46,7 +42,7 @@ class ParamMismatch(GriforgeError):
 
 
 class CtxMismatch(GriforgeError):
-    """Elements belong to different ring or field presentations."""
+    """Elements belong to different ring presentations."""
 
 
 class InvalidIsomorphism(GriforgeError):

@@ -1,337 +1,137 @@
-"""Finite field F_p[x]/(fbar) arithmetic and isomorphism construction.
+"""Roots of irreducible polynomials in the residue field F_{p^n}.
 
-An isomorphism between two degree-n extensions is pinned down by a
-root of one defining polynomial inside the other field. Root finding
-uses equal-degree splitting: the input polynomial factors into n
-distinct linear factors over the target field, and random shifts of
+The residue field is the s = 1 ring GR(p, n), a `RingCtx` over a prime
+modulus. An isomorphism between two degree-n extensions is pinned down
+by a root of one defining polynomial inside the other field. Root
+finding uses equal-degree splitting: the input polynomial factors into
+n distinct linear factors over the target field, and random shifts of
 t^((q-1)/2) - 1 (or of the absolute trace polynomial when p = 2)
 separate them.
+
+The splitting works on flat integer lists with the raw kernel of
+`poly`: a field element is a trimmed list of centered coefficients of
+degree < n (zero is the empty list), and a polynomial in t is an
+ascending trimmed list of field elements.
 """
 
 import random
-from dataclasses import dataclass
-from itertools import product
+from itertools import zip_longest
 
-from . import linalg
-from .errors import CtxMismatch, DegreeMismatch, DivisionByZero, NoRoot, NotIrreducible
-from .poly import Poly, _fp_xgcd, is_irreducible_mod_p
-from .zmod import Modulus, invmod
+from .errors import CtxMismatch, InvariantBreach, NoRoot
+from .poly import Poly, _raw_add, _raw_divmod, _raw_mul, _raw_rem_monic, _raw_sub, is_irreducible_mod_p
+from .zmod import invmod
 
 
-@dataclass(frozen=True)
-class FieldCtx:
-    """F_p[x]/(fbar) for a monic irreducible fbar."""
-
-    fbar: Poly
-
-    def __post_init__(self):
-        if self.fbar.modulus.s != 1:
-            raise ValueError("field modulus must be a prime, not a prime power")
-        if not self.fbar.is_monic or self.fbar.degree < 1:
-            raise ValueError("defining polynomial must be monic of degree >= 1")
-        if not is_irreducible_mod_p(self.fbar):
-            raise NotIrreducible(f"{self.fbar!r} is reducible")
-
-    @property
-    def p(self) -> int:
-        return self.fbar.modulus.p
-
-    @property
-    def n(self) -> int:
-        return self.fbar.degree
-
-    @property
-    def modulus(self) -> Modulus:
-        return self.fbar.modulus
-
-    def elem(self, coeffs) -> "FieldElem":
-        return self.from_poly(Poly(coeffs, self.modulus))
-
-    def from_poly(self, rep: Poly) -> "FieldElem":
-        if rep.degree >= self.n:
-            rep = rep % self.fbar
-        return FieldElem(rep, self)
-
-    def zero(self) -> "FieldElem":
-        return FieldElem(Poly.zero(self.modulus), self)
-
-    def one(self) -> "FieldElem":
-        return FieldElem(Poly.constant(1, self.modulus), self)
-
-    def gen_class(self) -> "FieldElem":
-        """The class of the quotient variable (a constant when n = 1)."""
-        if self.n == 1:
-            return self.elem([-self.fbar.coeffs[0]])
-        return FieldElem(Poly.x(self.modulus), self)
-
-    def elements(self):
-        """All p^n elements; intended for small brute-force checks."""
-        for coeffs in product(range(self.p), repeat=self.n):
-            yield self.elem(coeffs)
-
-    def random_elem(self, rng: random.Random) -> "FieldElem":
-        return self.elem([rng.randrange(self.p) for _ in range(self.n)])
+def _trim(u):
+    while u and not u[-1]:
+        u.pop()
+    return u
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """An element of F_{p^n}, represented by a polynomial of degree < n."""
-
-    rep: Poly
-    ctx: FieldCtx
-
-    def __post_init__(self):
-        if self.rep.modulus != self.ctx.modulus or self.rep.degree >= self.ctx.n:
-            raise ValueError("representative out of canonical range")
-
-    def _same(self, other: "FieldElem"):
-        if self.ctx != other.ctx:
-            raise CtxMismatch("elements of different fields")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rep.is_zero
-
-    def coeff_vector(self) -> tuple[int, ...]:
-        cs = self.rep.coeffs
-        return cs + (0,) * (self.ctx.n - len(cs))
-
-    def __add__(self, other):
-        self._same(other)
-        return FieldElem(self.rep + other.rep, self.ctx)
-
-    def __sub__(self, other):
-        self._same(other)
-        return FieldElem(self.rep - other.rep, self.ctx)
-
-    def __neg__(self):
-        return FieldElem(-self.rep, self.ctx)
-
-    def __mul__(self, other):
-        self._same(other)
-        return FieldElem((self.rep * other.rep) % self.ctx.fbar, self.ctx)
-
-    def inv(self) -> "FieldElem":
-        if self.is_zero:
-            raise DivisionByZero("zero has no inverse")
-        g, u, _ = _fp_xgcd(self.rep, self.ctx.fbar)
-        scale = invmod(g.coeffs[0], self.ctx.p)
-        return self.ctx.from_poly(u * scale)
-
-    def pow(self, e: int) -> "FieldElem":
-        if e < 0:
-            return self.inv().pow(-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __repr__(self):
-        return f"{self.rep!r} in F_{self.ctx.p}^{self.ctx.n}"
+def _mul(a, b, p, fb):
+    return _raw_rem_monic(_raw_mul(a, b, p), fb, p)
 
 
-# ---------------------------------------------------------------------------
-# Polynomials in t with coefficients in a FieldCtx, used for root finding.
-# Represented as trimmed ascending lists of FieldElem.
+def _inv(a, p, fb):
+    """Inverse of a nonzero field element, by extended Euclid against fbar."""
+    r0, r1, u0, u1 = fb, a, [], [1]
+    while r1:
+        q, r = _raw_divmod(r0, r1, p)
+        r0, r1, u0, u1 = r1, r, u1, _raw_sub(u0, _raw_mul(q, u1, p), p)
+    return _raw_mul(u0, [invmod(r0[0], p)], p)
 
 
-def _tp_trim(v):
-    while v and v[-1].is_zero:
-        v.pop()
-    return v
+def _tmul(u, v, p, fb):
+    """Product in F_{p^n}[t]; each output coefficient is reduced modulo fbar once."""
+    out = [[0] * (2 * len(fb) - 3) for _ in range(len(u) + len(v) - 1)]
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                acc = out[i + j]
+                for k, c in enumerate(_raw_mul(a, b, p)):
+                    acc[k] += c
+    return _trim([_raw_rem_monic(c, fb, p) for c in out])
 
 
-def _tp_add(u, v):
-    if len(u) < len(v):
-        u, v = v, u
-    out = list(u)
-    for i, c in enumerate(v):
-        out[i] = out[i] + c
-    return _tp_trim(out)
+def _tmonic(u, p, fb):
+    if u[-1] == [1]:
+        return u
+    linv = _inv(u[-1], p, fb)
+    return [_mul(c, linv, p, fb) for c in u]
 
 
-def _tp_sub(u, v, ctx):
-    out = list(u) + [ctx.zero()] * max(0, len(v) - len(u))
-    for i, c in enumerate(v):
-        out[i] = out[i] - c
-    return _tp_trim(out)
-
-
-def _tp_mul(u, v, ctx):
-    if not u or not v:
-        return []
-    out = [ctx.zero()] * (len(u) + len(v) - 1)
-    for i, cu in enumerate(u):
-        if cu.is_zero:
-            continue
-        for j, cv in enumerate(v):
-            out[i + j] = out[i + j] + cu * cv
-    return _tp_trim(out)
-
-
-def _tp_monic(u):
-    lead = u[-1]
-    if lead == lead.ctx.one():
-        return list(u)
-    linv = lead.inv()
-    return _tp_trim([c * linv for c in u])
-
-
-def _tp_divmod(u, v, ctx):
-    v = _tp_monic(v)
-    q = [ctx.zero()] * max(0, len(u) - len(v) + 1)
+def _tdivmod(u, v, p, fb):
+    """Quotient and remainder of u by v scaled to be monic."""
+    v = _tmonic(v, p, fb)
+    q = [[] for _ in range(len(u) - len(v) + 1)]
     r = list(u)
     for i in reversed(range(len(q))):
-        c = r[i + len(v) - 1]
-        q[i] = c
-        if not c.is_zero:
-            for j in range(len(v)):
-                r[i + j] = r[i + j] - c * v[j]
-    return _tp_trim(q), _tp_trim(r[: len(v) - 1])
+        c = q[i] = r[i + len(v) - 1]
+        if c:
+            for j in range(len(v) - 1):
+                r[i + j] = _raw_sub(r[i + j], _mul(c, v[j], p, fb), p)
+    return _trim(q), _trim(r[: len(v) - 1])
 
 
-def _tp_rem(u, v, ctx):
-    return _tp_divmod(u, v, ctx)[1]
-
-
-def _tp_gcd(u, v, ctx):
+def _tgcd(u, v, p, fb):
     while v:
-        u, v = v, _tp_rem(u, v, ctx)
-    return _tp_monic(u) if u else u
+        u, v = v, _tdivmod(u, v, p, fb)[1]
+    return _tmonic(u, p, fb) if u else u
 
 
-def _tp_powmod(u, e, mod, ctx):
-    result = [ctx.one()]
-    u = _tp_rem(u, mod, ctx)
+def _tpowmod(u, e, h, p, fb):
+    result = [[1]]
+    u = _tdivmod(u, h, p, fb)[1]
     while e:
         if e & 1:
-            result = _tp_rem(_tp_mul(result, u, ctx), mod, ctx)
-        u = _tp_rem(_tp_mul(u, u, ctx), mod, ctx)
+            result = _tdivmod(_tmul(result, u, p, fb), h, p, fb)[1]
+        u = _tdivmod(_tmul(u, u, p, fb), h, p, fb)[1]
         e >>= 1
     return result
 
 
-def _embed(g: Poly, field: FieldCtx):
-    return _tp_trim([field.elem([c]) for c in g.coeffs])
-
-
-def eval_in_field(g: Poly, a: FieldElem) -> FieldElem:
-    """Horner evaluation of a polynomial over F_p at a field element."""
-    acc = a.ctx.zero()
-    for c in reversed(g.coeffs):
-        acc = acc * a + a.ctx.elem([c])
-    return acc
-
-
-def find_root(g: Poly, field: FieldCtx, rng: random.Random) -> FieldElem:
+def find_root(g: Poly, field, rng: random.Random):
     """A root in `field` of a monic irreducible g with deg g = field.n.
 
-    Such a g splits into n distinct linear factors over the field;
-    the returned root is the one isolated first under the supplied
-    randomness, so distinct seeds may select distinct conjugates.
+    `field` is an s = 1 `RingCtx`. Such a g splits into n distinct
+    linear factors over the field; the returned root is the one
+    isolated first under the supplied randomness, so distinct seeds
+    may select distinct conjugates.
     """
-    if g.modulus != field.modulus:
-        raise CtxMismatch("polynomial and field use different prime moduli")
+    if field.s != 1 or g.modulus != field.modulus:
+        raise CtxMismatch("root finding needs g and an s = 1 field over the same prime")
     if not g.is_monic or g.degree != field.n:
         raise NoRoot("degree of g must equal the extension degree")
+    if not is_irreducible_mod_p(g):
+        raise NoRoot("g is reducible modulo p")
     p, n = field.p, field.n
+    fb = list(field.f.coeffs)
     q = p**n
-    t = [field.zero(), field.one()]
-    h = _embed(g, field)
-    if _tp_powmod(t, q, h, field) != _tp_rem(t, h, field):
-        raise NoRoot("polynomial does not split over the field")
+    h = [[c] if c else [] for c in g.coeffs]
     attempts = 0
     while len(h) > 2:
         attempts += 1
         if attempts > 64 * (n + 1):
             raise NoRoot("equal-degree splitting did not converge")
-        delta = field.random_elem(rng)
+        delta = list(field.random_elem(rng).rep.coeffs)
         if p == 2:
             # Absolute trace of delta*t: sum of (delta*t)^(2^i), i < n.
-            u = _tp_rem([field.zero(), delta], h, field)
+            u = _trim([[], delta])
             w = list(u)
             for _ in range(n - 1):
-                u = _tp_rem(_tp_mul(u, u, field), h, field)
-                w = _tp_add(w, u)
+                u = _tdivmod(_tmul(u, u, p, fb), h, p, fb)[1]
+                w = _trim([_raw_add(a, b, p) for a, b in zip_longest(w, u, fillvalue=[])])
         else:
-            w = _tp_powmod([delta, field.one()], (q - 1) // 2, h, field)
-            w = _tp_sub(w, [field.one()], field)
-        d = _tp_gcd(h, w, field)
+            w = _tpowmod([delta, [1]], (q - 1) // 2, h, p, fb)
+            w = _trim([_raw_sub(a, b, p) for a, b in zip_longest(w, [[1]], fillvalue=[])])
+        d = _tgcd(h, w, p, fb)
         if 1 < len(d) < len(h):
-            other = _tp_divmod(h, d, field)[0]
+            other = _tdivmod(h, d, p, fb)[0]
             h = d if len(d) <= len(other) else other
-    root = -h[0]
-    if not eval_in_field(g, root).is_zero:
-        raise NoRoot("splitting produced a non-root")  # pragma: no cover
+    root = field.elem([-c for c in h[0]])
+    acc = field.zero()
+    for c in reversed(g.coeffs):
+        acc = acc * root + field.elem([c])
+    if not acc.is_zero:
+        raise InvariantBreach("splitting produced a non-root")
     return root
-
-
-@dataclass(frozen=True)
-class FieldIsomorphism:
-    """An isomorphism between two presentations of F_{p^n}.
-
-    fwd row i holds the coefficient vector of a_img^i, so the image of
-    an element is its coefficient vector times fwd; bwd is the inverse
-    matrix over F_p.
-    """
-
-    src: FieldCtx
-    dst: FieldCtx
-    a_img: FieldElem  # image of the src variable class in dst
-    b_img: FieldElem  # image of the dst variable class in src
-    fwd: tuple[tuple[int, ...], ...]
-    bwd: tuple[tuple[int, ...], ...]
-
-    def apply(self, a: FieldElem) -> FieldElem:
-        if a.ctx != self.src:
-            raise CtxMismatch("element is not in the source field")
-        return self.dst.elem(linalg.vec_mat(a.coeff_vector(), self.fwd, self.dst.p))
-
-    def apply_inverse(self, a: FieldElem) -> FieldElem:
-        if a.ctx != self.dst:
-            raise CtxMismatch("element is not in the destination field")
-        return self.src.elem(linalg.vec_mat(a.coeff_vector(), self.bwd, self.src.p))
-
-
-def field_iso_from_root(src: FieldCtx, dst: FieldCtx, root: FieldElem) -> FieldIsomorphism:
-    """The isomorphism sending the src variable to a given root in dst."""
-    if (src.p, src.n) != (dst.p, dst.n):
-        raise DegreeMismatch("fields differ in p or n")
-    if root.ctx != dst:
-        raise CtxMismatch("root does not live in the destination field")
-    if not eval_in_field(src.fbar, root).is_zero:
-        raise NoRoot("given element is not a root of the source polynomial")
-    n, p = src.n, src.p
-    rows = []
-    acc = dst.one()
-    for _ in range(n):
-        rows.append(list(acc.coeff_vector()))
-        acc = acc * root
-    bwd = linalg.mat_inv_mod(rows, p, p)
-    b_img = src.elem(linalg.vec_mat(dst.gen_class().coeff_vector(), bwd, p))
-    return FieldIsomorphism(
-        src,
-        dst,
-        root,
-        b_img,
-        tuple(tuple(r) for r in rows),
-        tuple(tuple(r) for r in bwd),
-    )
-
-
-def build_field_iso(fbar: Poly, gbar: Poly, rng: random.Random) -> FieldIsomorphism:
-    """Construct an isomorphism F_p[x]/(fbar) -> F_p[y]/(gbar).
-
-    Finds a root of fbar in the destination field and derives the
-    inverse by matrix inversion over F_p.
-    """
-    if fbar.degree != gbar.degree:
-        raise DegreeMismatch(f"degrees {fbar.degree} and {gbar.degree} differ")
-    src = FieldCtx(fbar)
-    dst = FieldCtx(gbar)
-    root = find_root(fbar, dst, rng)
-    return field_iso_from_root(src, dst, root)

@@ -49,10 +49,6 @@ class ChiBeta:
         return self.ctx.elem([rng.randint(-self.beta, self.beta) for _ in range(self.n)])
 
 
-def sample_chi(chi: ChiBeta, rng: random.Random) -> RingElem:
-    return chi.sample(rng)
-
-
 @dataclass(frozen=True)
 class GriSecret:
     src: RingCtx
@@ -211,16 +207,13 @@ def reduce_to_ffi(inst: GriInstance) -> GriInstance:
     p = inst.params.p
     if 2 * inst.params.beta >= p:
         raise BetaTooLarge(f"beta={inst.params.beta} does not satisfy beta < {p}/2")
-    dst_bar = RingCtx(inst.dst.f.reduce_mod_p())
-    images = tuple(dst_bar.elem(a.rep.reduce_mod_p().coeffs) for a in inst.images)
+    dst_bar = inst.dst.residue_field
+    images = tuple(a.reduce_mod_p() for a in inst.images)
     secret_bar = None
     if inst.secret is not None:
-        src_bar = RingCtx(inst.secret.src.f.reduce_mod_p())
-        phi_bar = dst_bar.elem(inst.secret.iso.phi_x.rep.reduce_mod_p().coeffs)
-        iso_bar = iso_from_phi_x(src_bar, dst_bar, phi_bar)
-        preimages = tuple(
-            src_bar.elem(a.rep.reduce_mod_p().coeffs) for a in inst.secret.preimages
-        )
+        src_bar = inst.secret.src.residue_field
+        iso_bar = iso_from_phi_x(src_bar, dst_bar, inst.secret.iso.phi_x.reduce_mod_p())
+        preimages = tuple(a.reduce_mod_p() for a in inst.secret.preimages)
         for before, after in zip(inst.secret.preimages, preimages):
             if before.rep.coeffs != after.rep.coeffs:
                 raise InvariantBreach("preimage changed under reduction mod p")

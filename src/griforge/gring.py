@@ -2,9 +2,9 @@
 and ring isomorphism construction.
 
 A ring presentation is (Z/p^sZ)[x]/(f) with f monic of degree n and
-irreducible modulo p. The reduction map onto the residue field
-F_p[x]/(fbar) has kernel (p); an element is a unit exactly when its
-reduction is nonzero.
+irreducible modulo p. The residue field F_p[x]/(fbar) is the s = 1
+ring over fbar, so one type serves both. The reduction map onto it has
+kernel (p); an element is a unit exactly when its reduction is nonzero.
 """
 
 import random
@@ -21,31 +21,37 @@ from .errors import (
     NotARootModP,
     NotASimpleRoot,
     NotAUnit,
+    NotIrreducible,
     ParamMismatch,
 )
-from .ffield import FieldCtx, FieldElem, find_root
-from .poly import Poly
-from .zmod import Modulus
+from .ffield import find_root
+from .poly import Poly, _fp_xgcd, is_irreducible_mod_p
+from .zmod import Modulus, invmod
 
 
 @dataclass(frozen=True)
 class RingCtx:
-    """A presentation (Z/p^sZ)[x]/(f) of GR(p^s, n)."""
+    """A presentation (Z/p^sZ)[x]/(f) of GR(p^s, n); for s = 1 the field F_{p^n}."""
 
     f: Poly
 
     def __post_init__(self):
         if not self.f.is_monic or self.f.degree < 1:
             raise ValueError("defining polynomial must be monic of degree >= 1")
-        self.residue_field  # construction checks irreducibility mod p
+        self.residue_field  # the s = 1 ring tests irreducibility mod p, once
 
     @cached_property
     def fbar(self) -> Poly:
         return self.f.reduce_mod_p()
 
     @cached_property
-    def residue_field(self) -> FieldCtx:
-        return FieldCtx(self.fbar)
+    def residue_field(self) -> "RingCtx":
+        """GR(p, n) over fbar; the ctx itself when s = 1."""
+        if self.s > 1:
+            return RingCtx(self.fbar)
+        if not is_irreducible_mod_p(self.f):
+            raise NotIrreducible(f"{self.f!r} is reducible")
+        return self
 
     @property
     def modulus(self) -> Modulus:
@@ -149,9 +155,9 @@ class RingElem:
             e >>= 1
         return result
 
-    def reduce_mod_p(self) -> FieldElem:
+    def reduce_mod_p(self) -> "RingElem":
         """Image under the reduction map onto the residue field."""
-        return FieldElem(self.rep.reduce_mod_p(), self.ctx.residue_field)
+        return RingElem(self.rep.reduce_mod_p(), self.ctx.residue_field)
 
     def is_unit(self) -> bool:
         return not self.reduce_mod_p().is_zero
@@ -160,13 +166,15 @@ class RingElem:
         """Inverse of a unit, by Newton iteration on the residue inverse.
 
         z -> z(2 - az) doubles the p-adic precision of an approximate
-        inverse, so ceil(log2 s) steps after the residue-field inverse
-        give the exact inverse modulo p^s.
+        inverse, so ceil(log2 s) steps after the residue-field inverse,
+        taken by extended Euclid against fbar, give the exact inverse
+        modulo p^s.
         """
         red = self.reduce_mod_p()
         if red.is_zero:
             raise NotAUnit("element lies in the maximal ideal (p)")
-        z = self.ctx.elem(red.inv().rep.coeffs)
+        g, u, _ = _fp_xgcd(red.rep, self.ctx.fbar)
+        z = self.ctx.elem((u * invmod(g.coeffs[0], self.ctx.p)).coeffs)
         if self.ctx.s > 1:
             two = self.ctx.elem([2])
             for _ in range((self.ctx.s - 1).bit_length()):
@@ -291,7 +299,14 @@ def iso_from_phi_x(src: RingCtx, dst: RingCtx, phi_x: RingElem) -> Isomorphism:
     )
 
 
-def ring_iso_from_field_root(src: RingCtx, dst: RingCtx, root_bar: FieldElem) -> Isomorphism:
+def field_iso_from_root(src: RingCtx, dst: RingCtx, root: RingElem) -> Isomorphism:
+    """The residue-field (s = 1) isomorphism sending the src variable to root."""
+    if src.s != 1 or dst.s != 1:
+        raise ParamMismatch("field isomorphisms need s = 1 on both sides")
+    return iso_from_phi_x(src, dst, root)
+
+
+def ring_iso_from_field_root(src: RingCtx, dst: RingCtx, root_bar: RingElem) -> Isomorphism:
     """Lift a residue-field root choice to the unique ring isomorphism over it."""
     _check_params(src, dst)
     if root_bar.ctx != dst.residue_field:

@@ -8,7 +8,6 @@ p^s/2 is included, for odd p^s the interval is symmetric.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ModulusMismatch, NotAUnit
 
 # Miller-Rabin with the first 13 primes as bases is exact below PSI_13,
 # the least strong pseudoprime to all of them (about 3.3 * 10^24).
@@ -117,48 +116,3 @@ class Modulus:
     def __repr__(self):
         return f"{self.p}^{self.s}" if self.s > 1 else str(self.p)
 
-
-@dataclass(frozen=True)
-class ZmodElem:
-    """An element of Z/p^sZ, kept in canonical centered form."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.modulus.reduce(self.value))
-
-    def _same(self, other: "ZmodElem"):
-        if self.modulus != other.modulus:
-            raise ModulusMismatch(f"{self.modulus} vs {other.modulus}")
-
-    def __add__(self, other):
-        self._same(other)
-        return ZmodElem(self.value + other.value, self.modulus)
-
-    def __sub__(self, other):
-        self._same(other)
-        return ZmodElem(self.value - other.value, self.modulus)
-
-    def __mul__(self, other):
-        self._same(other)
-        return ZmodElem(self.value * other.value, self.modulus)
-
-    def __neg__(self):
-        return ZmodElem(-self.value, self.modulus)
-
-    def is_unit(self) -> bool:
-        return self.value % self.modulus.p != 0
-
-    def inv(self) -> "ZmodElem":
-        if not self.is_unit():
-            raise NotAUnit(f"{self.value} is divisible by {self.modulus.p}")
-        return ZmodElem(invmod(self.value, self.modulus.m), self.modulus)
-
-    def __repr__(self):
-        return f"{self.value} mod {self.modulus!r}"
-
-
-def centered_reduce(x: int, m: Modulus) -> ZmodElem:
-    """Canonical centered representative of x modulo p^s."""
-    return ZmodElem(x, m)

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from griforge import Poly, centered, eval_in_field, hnf_row_basis
+from griforge import Poly, centered, eval_poly, hnf_row_basis
 
 
 def schoolbook_rem(a, f, m):
@@ -52,7 +52,7 @@ def exhaustive_irreducible(f: Poly) -> bool:
 
 def field_roots(g: Poly, field):
     """All roots of g in the field, by exhaustive evaluation."""
-    return [a for a in field.elements() if eval_in_field(g, a).is_zero]
+    return [a for a in field.elements() if eval_poly(g, a).is_zero]
 
 
 def ring_horner(g: Poly, a):

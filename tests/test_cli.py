@@ -241,14 +241,45 @@ def test_invariant_breach_survives_optimize_flag(tmp_path):
     assert "not in the attack lattice" in proc.stderr
 
 
-def test_oversized_modulus_rejected_quickly(tmp_path, capsys):
+def _huge_modulus(tmp_path):
     params = _gen(tmp_path)
     huge = tmp_path / "huge.txt"
     huge.write_text(params.read_text().replace("p: 2\ns: 3\n", "p: 3\ns: 1000000000\n"))
+    return ("make-iso", "--in", str(huge), "--seed", "5", "--out", str(tmp_path / "iso.txt")), "too large"
+
+
+def _huge_n(tmp_path):
+    return ("gen-params", "--p", "2", "--s", "2", "--n", "100000",
+            "--out", str(tmp_path / "p.txt")), "n <= 64"
+
+
+def _huge_k_flag(tmp_path):
+    iso_file = tmp_path / "iso.txt"
+    assert _run("make-iso", "--in", str(_gen(tmp_path)), "--seed", "5", "--out", str(iso_file)) == 0
+    return ("sample", "--in", str(iso_file), "--beta", "1", "--k", "100000000",
+            "--seed", "1", "--out", str(tmp_path / "i.txt")), "k <= 256"
+
+
+def _huge_k_file(tmp_path):
+    inst = gen_instance(2, 3, 4, 1, 3, random.Random(1))
+    text = serialize_instance(inst, include_secret=False)
+    assert "\nk: 3\n" in text
+    huge = tmp_path / "huge.txt"
+    huge.write_text(text.replace("\nk: 3\n", "\nk: 100000000\n"))
+    return ("attack", "--in", str(huge)), "k <= 256"
+
+
+@pytest.mark.parametrize(
+    "case", [_huge_modulus, _huge_n, _huge_k_flag, _huge_k_file],
+    ids=["modulus", "gen-params-n", "sample-k", "instance-k"],
+)
+def test_oversized_modulus_rejected_quickly(tmp_path, capsys, case):
+    argv, bound = case(tmp_path)
+    capsys.readouterr()
     start = time.perf_counter()
-    code = _run("make-iso", "--in", str(huge), "--seed", "5", "--out", str(tmp_path / "iso.txt"))
+    code = _run(*argv)
     assert code == 3 and time.perf_counter() - start < 1.0
-    assert "too large" in capsys.readouterr().err
+    assert bound in capsys.readouterr().err
 
 
 def test_sample_requires_iso(tmp_path, capsys):

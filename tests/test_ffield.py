@@ -1,27 +1,30 @@
+"""The residue field F_{p^n} as the s = 1 ring, and root finding in it."""
+
 import random
 
 import pytest
 
 from griforge import (
-    FieldCtx,
     Modulus,
     Poly,
-    build_field_iso,
-    eval_in_field,
+    RingCtx,
+    build_ring_iso,
+    eval_poly,
     field_iso_from_root,
     find_root,
     random_monic_irreducible,
 )
-from griforge.errors import DegreeMismatch, DivisionByZero, NoRoot, NotIrreducible
+from griforge.errors import CtxMismatch, NoRoot, NotAUnit, NotIrreducible, ParamMismatch
 from helpers import field_roots
 
 M2 = Modulus(2, 1)
 M3 = Modulus(3, 1)
-F4 = FieldCtx(Poly([1, 1, 1], M2))  # F_2[y]/(y^2+y+1)
+F4 = RingCtx(Poly([1, 1, 1], M2))  # F_2[y]/(y^2+y+1)
 
 
 def test_arith_examples():
     y = F4.gen_class()
+    assert F4.residue_field is F4
     assert y * y == F4.elem([1, 1])  # y^2 = y + 1
     assert y.inv() == F4.elem([1, 1])  # exhaustive: y(y+1) = 1
     candidates = [a for a in F4.elements() if (a * y) == F4.one()]
@@ -31,21 +34,21 @@ def test_arith_examples():
 def test_pow_frobenius_fixed():
     rng = random.Random(0)
     for p, n in [(2, 2), (3, 2), (5, 2), (2, 3)]:
-        field = FieldCtx(random_monic_irreducible(Modulus(p, 1), n, rng))
+        field = RingCtx(random_monic_irreducible(Modulus(p, 1), n, rng))
         for _ in range(20):
             a = field.random_elem(rng)
             assert a.pow(p**n) == a
 
 
 def test_inv_zero_rejected():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(NotAUnit):
         F4.zero().inv()
 
 
 def test_inv_random_roundtrip():
     rng = random.Random(1)
     for p, n in [(2, 4), (3, 3), (7, 2)]:
-        field = FieldCtx(random_monic_irreducible(Modulus(p, 1), n, rng))
+        field = RingCtx(random_monic_irreducible(Modulus(p, 1), n, rng))
         for _ in range(30):
             a = field.random_elem(rng)
             if a.is_zero:
@@ -62,7 +65,7 @@ def test_find_root_examples():
     roots = field_roots(F4.fbar, F4)
     assert F4.gen_class() in roots
 
-    ynine = FieldCtx(Poly([1, 0, 1], M3))
+    ynine = RingCtx(Poly([1, 0, 1], M3))
     root = find_root(Poly([1, 0, 1], M3), ynine, rng)
     assert root in (ynine.elem([0, 1]), ynine.elem([0, -1]))
 
@@ -73,9 +76,9 @@ def test_find_root_postcondition_and_conjugate_count():
         if p**n > 81:
             continue
         g = random_monic_irreducible(Modulus(p, 1), n, rng)
-        field = FieldCtx(random_monic_irreducible(Modulus(p, 1), n, rng))
+        field = RingCtx(random_monic_irreducible(Modulus(p, 1), n, rng))
         root = find_root(g, field, rng)
-        assert eval_in_field(g, root).is_zero
+        assert eval_poly(g, root).is_zero
         assert len(field_roots(g, field)) == n  # n distinct conjugates
 
 
@@ -88,41 +91,80 @@ def test_find_root_degree_contract():
 def test_find_root_large_field():
     rng = random.Random(5)
     g = random_monic_irreducible(Modulus(7, 1), 8, rng)
-    field = FieldCtx(random_monic_irreducible(Modulus(7, 1), 8, rng))
+    field = RingCtx(random_monic_irreducible(Modulus(7, 1), 8, rng))
     root = find_root(g, field, rng)
-    assert eval_in_field(g, root).is_zero
+    assert eval_poly(g, root).is_zero
+
+
+# (p, g, field polynomial, rng seed, root): the conjugate each seed selects.
+# p = 2 splits with the trace polynomial, odd p with powers, n = 1 needs no
+# splitting.
+GOLDEN_ROOTS = [
+    (2, (0, 1), (1, 1), 0, ()),
+    (2, (1, 0, 1, 0, 1, 1, 1), (1, 0, 0, 1, 0, 0, 1), 0, (1, 1, 0, 1, 1, 1)),
+    (2, (1, 0, 1, 0, 1, 1, 1), (1, 0, 0, 1, 0, 0, 1), 1, (1, 1, 0, 1, 1, 1)),
+    (2, (1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1),
+     0, (0, 1, 0, 0, 1, 1, 1, 1, 1)),
+    (2, (1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1),
+     1, (1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1)),
+    (3, (1, 1), (-1, 1), 0, (-1,)),
+    (3, (-1, 1, -1, 0, -1, 1), (-1, 1, -1, 0, -1, 1), 0, (-1, 0, 1, -1)),
+    (3, (-1, 1, -1, 0, -1, 1), (-1, 1, -1, 0, -1, 1), 1, (1, 0, -1, -1, 1)),
+    (5, (1, 0, 1, 1, 1), (2, 0, 1, 0, 1), 0, (2, 1, 2)),
+    (5, (1, 0, 1, 1, 1), (2, 0, 1, 0, 1), 1, (0, -2, -2, -1)),
+    (7, (3, -2, 1, 1), (3, 0, 2, 1), 0, (-2, 2, -3)),
+    (13, (-4, -5, 1), (-6, -6, 1), 0, (4, 6)),
+    (13, (-4, -5, 1), (-6, -6, 1), 1, (1, -6)),
+]
+
+
+def test_find_root_golden_conjugates():
+    for p, g, f, seed, root in GOLDEN_ROOTS:
+        m = Modulus(p, 1)
+        got = find_root(Poly(g, m), RingCtx(Poly(f, m)), random.Random(seed))
+        assert got.rep.coeffs == root, (p, g, seed)
+    m8 = Modulus(2, 3)
+    with pytest.raises(CtxMismatch):  # s > 1 is not a field
+        find_root(Poly([1, 1, 1], m8), RingCtx(Poly([1, 1, 1], m8)), random.Random(0))
+    with pytest.raises(CtxMismatch):
+        find_root(Poly([1, 1, 1], M2), RingCtx(Poly([1, 1, 1], m8)), random.Random(0))
+    with pytest.raises(NoRoot):  # x^2 + x = x(x + 1) splits over F_2 but is reducible
+        find_root(Poly([0, 1, 1], M2), F4, random.Random(0))
 
 
 def test_iso_identity_when_same_polynomial():
-    src = FieldCtx(Poly([1, 1, 1], M2))
-    dst = FieldCtx(Poly([1, 1, 1], M2))
+    src = RingCtx(Poly([1, 1, 1], M2))
+    dst = RingCtx(Poly([1, 1, 1], M2))
     iso = field_iso_from_root(src, dst, dst.gen_class())
-    assert iso.a_img == dst.gen_class()
-    assert iso.b_img == src.gen_class()
+    assert iso.phi_x == dst.gen_class()
+    assert iso.apply_inverse(dst.gen_class()) == src.gen_class()
     assert iso.fwd == ((1, 0), (0, 1))
 
 
 def test_iso_worked_example_f2():
     # root y+1 of x^2+x+1 sends x to y+1 and y back to x+1
-    src = FieldCtx(Poly([1, 1, 1], M2))
-    dst = FieldCtx(Poly([1, 1, 1], M2))
+    src = RingCtx(Poly([1, 1, 1], M2))
+    dst = RingCtx(Poly([1, 1, 1], M2))
     iso = field_iso_from_root(src, dst, dst.elem([1, 1]))
-    assert iso.a_img == dst.elem([1, 1])
-    assert iso.b_img == src.elem([1, 1])
+    assert iso.phi_x == dst.elem([1, 1])
+    assert iso.apply_inverse(dst.gen_class()) == src.elem([1, 1])
     # A(B(x)) = x: apply then invert is the identity
     x = src.gen_class()
     assert iso.apply_inverse(iso.apply(x)) == x
+    with pytest.raises(ParamMismatch):  # field isomorphisms need s = 1
+        m4 = Modulus(2, 2)
+        field_iso_from_root(RingCtx(Poly([1, 1, 1], m4)), RingCtx(Poly([1, 1, 1], m4)), x)
 
 
 def test_iso_f3_brute_force():
     fbar = Poly([1, 0, 1], M3)  # x^2 + 1
     gbar = Poly([2, 1, 1], M3)  # y^2 + y + 2
     rng = random.Random(6)
-    iso = build_field_iso(fbar, gbar, rng)
+    iso = build_ring_iso(RingCtx(fbar), RingCtx(gbar), rng)
     # the image of x must be one of the roots of fbar in the destination
-    assert iso.a_img in field_roots(fbar, iso.dst)
-    # and b_img one of the roots of gbar in the source, inverse to it
-    assert iso.b_img in field_roots(gbar, iso.src)
+    assert iso.phi_x in field_roots(fbar, iso.dst)
+    # and the preimage of y one of the roots of gbar in the source, inverse to it
+    assert iso.apply_inverse(iso.dst.gen_class()) in field_roots(gbar, iso.src)
     for a in iso.src.elements():
         assert iso.apply_inverse(iso.apply(a)) == a
 
@@ -131,7 +173,7 @@ def test_iso_homomorphism_500_pairs():
     rng = random.Random(7)
     fbar = random_monic_irreducible(Modulus(5, 1), 3, rng)
     gbar = random_monic_irreducible(Modulus(5, 1), 3, rng)
-    iso = build_field_iso(fbar, gbar, rng)
+    iso = build_ring_iso(RingCtx(fbar), RingCtx(gbar), rng)
     for _ in range(500):
         a = iso.src.random_elem(rng)
         b = iso.src.random_elem(rng)
@@ -139,28 +181,28 @@ def test_iso_homomorphism_500_pairs():
         assert iso.apply(a * b) == iso.apply(a) * iso.apply(b)
         assert iso.apply_inverse(iso.apply(a)) == a
         assert iso.apply(iso.apply_inverse(b_dst := iso.dst.random_elem(rng))) == b_dst
-        # the matrix route agrees with substituting a_img into a's polynomial
-        assert iso.apply(a) == eval_in_field(a.rep, iso.a_img)
+        # the matrix route agrees with substituting phi_x into a's polynomial
+        assert iso.apply(a) == eval_poly(a.rep, iso.phi_x)
 
 
 def test_iso_inverse_agrees_with_root_search_oracle():
     rng = random.Random(8)
     fbar = random_monic_irreducible(M3, 2, rng)
     gbar = random_monic_irreducible(M3, 2, rng)
-    iso = build_field_iso(fbar, gbar, rng)
+    iso = build_ring_iso(RingCtx(fbar), RingCtx(gbar), rng)
     # Algorithm-style inverse: b must be a root of gbar in the source
     # satisfying A(b) = x, found here by exhaustive search.
     matches = [
         b
         for b in field_roots(gbar, iso.src)
-        if eval_in_field(iso.a_img.rep, b) == iso.src.gen_class()
+        if eval_poly(iso.phi_x.rep, b) == iso.src.gen_class()
     ]
-    assert matches == [iso.b_img]
+    assert matches == [iso.apply_inverse(iso.dst.gen_class())]
 
 
 def test_build_field_iso_degree_and_irreducibility_errors():
     rng = random.Random(9)
-    with pytest.raises(DegreeMismatch):
-        build_field_iso(Poly([1, 1, 1], M2), Poly([1, 1, 0, 1], M2), rng)
+    with pytest.raises(ParamMismatch):
+        build_ring_iso(RingCtx(Poly([1, 1, 1], M2)), RingCtx(Poly([1, 1, 0, 1], M2)), rng)
     with pytest.raises(NotIrreducible):
-        build_field_iso(Poly([1, 0, 1], M2), Poly([1, 1, 1], M2), rng)
+        RingCtx(Poly([1, 0, 1], M2))

@@ -15,7 +15,6 @@ from griforge import (
     random_monic_irreducible,
     reduce_to_ffi,
     run_distinguisher_experiment,
-    sample_chi,
     wilson_interval,
 )
 from griforge.errors import BetaOutOfRange, BetaTooLarge
@@ -30,9 +29,9 @@ def test_sample_chi_bounds_and_determinism():
     chi = ChiBeta(1, ctx)
     rng = random.Random(7)
     for _ in range(50):
-        a = sample_chi(chi, rng)
+        a = chi.sample(rng)
         assert a.sup_norm() <= 1
-    assert sample_chi(chi, random.Random(3)) == sample_chi(chi, random.Random(3))
+    assert chi.sample(random.Random(3)) == chi.sample(random.Random(3))
 
 
 def test_sample_chi_histogram_uniform_3sigma():
@@ -43,7 +42,7 @@ def test_sample_chi_histogram_uniform_3sigma():
     counts = {v: 0 for v in range(-beta, beta + 1)}
     samples = 10_000
     for _ in range(samples):
-        for c in sample_chi(chi, rng).coeff_vector():
+        for c in chi.sample(rng).coeff_vector():
             counts[c] += 1
     total = samples * ctx.n
     q = 1 / (2 * beta + 1)
