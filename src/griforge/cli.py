@@ -7,7 +7,12 @@ prefixed `secret.`, so public exports can be checked mechanically.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 internal
 invariant breach. Untrusted n and k are bounded by MAX_N and MAX_K
-before any polynomial arithmetic, so oversized input fails fast.
+before any polynomial arithmetic, and distinguisher trials by
+MAX_TRIALS, so oversized input fails fast.
+
+The loaders return the rings and the isomorphism they validated
+(`ParamData.dst`/`src`/`iso`, `GriInstance`, `CompositeCtx`), and the
+commands work on those objects, so no file is validated twice.
 """
 
 import argparse
@@ -17,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crt import CompositeCtx, CompositePoly, crt_combine_polys
+from .crt import CompositeCtx, CompositePoly
 from .errors import GriforgeError, InvariantBreach, ValidationError
 from .gri import (
     GriInstance,
@@ -28,7 +33,7 @@ from .gri import (
     random_guess_strategy,
     run_distinguisher_experiment,
 )
-from .gring import RingCtx, RingElem, eval_poly, iso_from_phi_x
+from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso, eval_poly, iso_from_phi_x
 from .lattice import AttackReport, render_report, run_attack
 from .poly import Poly, random_monic_irreducible
 from .zmod import Modulus
@@ -37,6 +42,7 @@ FORMAT_HEADER = "griforge 1"
 SEED_ENV = "GRIFORGE_SEED"
 MAX_N = 64
 MAX_K = 256
+MAX_TRIALS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +98,15 @@ def _take_poly(fields: dict[str, str], key: str, modulus: Modulus) -> Poly:
         raise ValidationError(f"field {key!r} is not a polynomial") from None
 
 
+def _take_modulus(fields: dict[str, str], prefix: str = "") -> Modulus:
+    p = _take_int(fields, prefix + "p")
+    s = _take_int(fields, prefix + "s")
+    try:
+        return Modulus(p, s)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+
+
 def _check_size(n: int | None, k: int | None = None):
     for label, value, bound in (("n", n, MAX_N), ("k", k, MAX_K)):
         if value is not None and value > bound:
@@ -109,30 +124,28 @@ def _reject_leftovers(fields: dict[str, str]):
 
 @dataclass
 class ParamData:
-    p: int
-    s: int
-    n: int
     seed: int | None
     beta: int | None
     k: int | None
-    F: Poly
-    f: Poly | None
-    phi_x: Poly | None
+    dst: RingCtx
+    src: RingCtx | None
+    iso: Isomorphism | None
 
 
 def serialize_params(data: ParamData) -> str:
-    fields = [("p", str(data.p)), ("s", str(data.s)), ("n", str(data.n))]
+    dst = data.dst
+    fields = [("p", str(dst.p)), ("s", str(dst.s)), ("n", str(dst.n))]
     if data.seed is not None:
         fields.append(("seed", str(data.seed)))
     if data.beta is not None:
         fields.append(("beta", str(data.beta)))
     if data.k is not None:
         fields.append(("k", str(data.k)))
-    fields.append(("F", data.F.to_text()))
-    if data.f is not None:
-        fields.append(("secret.f", data.f.to_text()))
-    if data.phi_x is not None:
-        fields.append(("secret.phi_x", data.phi_x.to_text()))
+    fields.append(("F", dst.f.to_text()))
+    if data.src is not None:
+        fields.append(("secret.f", data.src.f.to_text()))
+    if data.iso is not None:
+        fields.append(("secret.phi_x", data.iso.phi_x.rep.to_text()))
     return _render("params", fields)
 
 
@@ -140,13 +153,8 @@ def load_params(text: str) -> ParamData:
     kind, fields = _parse_fields(text)
     if kind != "params":
         raise ValidationError(f"expected a params file, got kind {kind!r}")
-    p = _take_int(fields, "p")
-    s = _take_int(fields, "s")
+    modulus = _take_modulus(fields)
     n = _take_int(fields, "n")
-    try:
-        modulus = Modulus(p, s)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
     seed = _take_opt_int(fields, "seed")
     beta = _take_opt_int(fields, "beta")
     k = _take_opt_int(fields, "k")
@@ -155,26 +163,30 @@ def load_params(text: str) -> ParamData:
     f = _take_poly(fields, "secret.f", modulus) if "secret.f" in fields else None
     phi_x = _take_poly(fields, "secret.phi_x", modulus) if "secret.phi_x" in fields else None
     _reject_leftovers(fields)
-    _check_defining(big_f, n, "F")
-    if f is not None:
-        _check_defining(f, n, "secret.f")
+    dst = _defining_ring(big_f, n, "F")
+    src = _defining_ring(f, n, "secret.f") if f is not None else None
+    iso = None
     if phi_x is not None:
-        if f is None:
+        if src is None:
             raise ValidationError("secret.phi_x requires secret.f")
-        try:
-            iso_from_phi_x(RingCtx(f), RingCtx(big_f), RingCtx(big_f).from_poly(phi_x))
-        except GriforgeError as exc:
-            raise ValidationError(f"invalid phi_x: {exc}") from None
-    return ParamData(p, s, n, seed, beta, k, big_f, f, phi_x)
+        iso = _iso_from_text(src, dst, phi_x)
+    return ParamData(seed, beta, k, dst, src, iso)
 
 
-def _check_defining(poly: Poly, n: int, label: str):
+def _defining_ring(poly: Poly, n: int, label: str) -> RingCtx:
     if poly.degree != n:
         raise ValidationError(f"{label} must have degree {n}")
     try:
-        RingCtx(poly)
+        return RingCtx(poly)
     except (GriforgeError, ValueError) as exc:
         raise ValidationError(f"{label}: {exc}") from None
+
+
+def _iso_from_text(src: RingCtx, dst: RingCtx, phi_poly: Poly) -> Isomorphism:
+    try:
+        return iso_from_phi_x(src, dst, dst.from_poly(phi_poly))
+    except GriforgeError as exc:
+        raise ValidationError(f"invalid phi_x: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -205,40 +217,27 @@ def load_instance(text: str) -> GriInstance:
     kind, fields = _parse_fields(text)
     if kind != "instance":
         raise ValidationError(f"expected an instance file, got kind {kind!r}")
-    p = _take_int(fields, "p")
-    s = _take_int(fields, "s")
+    modulus = _take_modulus(fields)
     n = _take_int(fields, "n")
     beta = _take_int(fields, "beta")
     k = _take_int(fields, "k")
-    try:
-        modulus = Modulus(p, s)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
     if beta < 1 or k < 1:
         raise ValidationError("beta and k must be >= 1")
     _check_size(n, k)
-    big_f = _take_poly(fields, "F", modulus)
-    _check_defining(big_f, n, "F")
-    dst = RingCtx(big_f)
+    dst = _defining_ring(_take_poly(fields, "F", modulus), n, "F")
     images = tuple(
         _take_elem(fields, f"A.{i}", dst) for i in range(1, k + 1)
     )
     secret = None
     if "secret.f" in fields:
-        f = _take_poly(fields, "secret.f", modulus)
-        _check_defining(f, n, "secret.f")
-        src = RingCtx(f)
-        phi_poly = _take_poly(fields, "secret.phi_x", modulus)
-        try:
-            iso = iso_from_phi_x(src, dst, dst.from_poly(phi_poly))
-        except GriforgeError as exc:
-            raise ValidationError(f"invalid phi_x: {exc}") from None
+        src = _defining_ring(_take_poly(fields, "secret.f", modulus), n, "secret.f")
+        iso = _iso_from_text(src, dst, _take_poly(fields, "secret.phi_x", modulus))
         preimages = tuple(
             _take_elem(fields, f"secret.a.{i}", src) for i in range(1, k + 1)
         )
         secret = GriSecret(src, iso, preimages)
     _reject_leftovers(fields)
-    return GriInstance(GriParams(p, s, n, beta, k), dst, images, secret)
+    return GriInstance(GriParams(modulus.p, modulus.s, n, beta, k), dst, images, secret)
 
 
 def _take_elem(fields: dict[str, str], key: str, ctx: RingCtx) -> RingElem:
@@ -252,9 +251,7 @@ def _take_elem(fields: dict[str, str], key: str, ctx: RingCtx) -> RingElem:
 # Composite files
 
 
-def serialize_composite(
-    public: CompositeCtx, secret_parts: list[Poly] | None, secret_f: CompositePoly | None
-) -> str:
+def serialize_composite(public: CompositeCtx, secret: CompositeCtx | None) -> str:
     fields = [
         ("n", str(public.n)),
         ("m", str(public.m)),
@@ -265,10 +262,10 @@ def serialize_composite(
         fields.append((f"component.{i}.s", str(comp.s)))
         fields.append((f"component.{i}.F", comp.f.to_text()))
     fields.append(("F", public.f.to_text()))
-    if secret_parts is not None and secret_f is not None:
-        for i, part in enumerate(secret_parts, start=1):
-            fields.append((f"secret.component.{i}.f", part.to_text()))
-        fields.append(("secret.f", secret_f.to_text()))
+    if secret is not None:
+        for i, comp in enumerate(secret.components, start=1):
+            fields.append((f"secret.component.{i}.f", comp.f.to_text()))
+        fields.append(("secret.f", secret.f.to_text()))
     return _render("composite", fields)
 
 
@@ -286,21 +283,14 @@ def load_composite(text: str) -> tuple[CompositeCtx, CompositeCtx | None]:
     count = _take_int(fields, "components")
     _check_size(n)
     comps = []
-    secret_polys = []
+    secret_comps = []
     for i in range(1, count + 1):
-        p = _take_int(fields, f"component.{i}.p")
-        s = _take_int(fields, f"component.{i}.s")
-        try:
-            modulus = Modulus(p, s)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
+        modulus = _take_modulus(fields, f"component.{i}.")
         big_f = _take_poly(fields, f"component.{i}.F", modulus)
-        _check_defining(big_f, n, f"component.{i}.F")
-        comps.append(RingCtx(big_f))
+        comps.append(_defining_ring(big_f, n, f"component.{i}.F"))
         if f"secret.component.{i}.f" in fields:
             f = _take_poly(fields, f"secret.component.{i}.f", modulus)
-            _check_defining(f, n, f"secret.component.{i}.f")
-            secret_polys.append(f)
+            secret_comps.append(_defining_ring(f, n, f"secret.component.{i}.f"))
     combined_text = fields.pop("F", None)
     if combined_text is None:
         raise ValidationError("missing field 'F'")
@@ -313,10 +303,10 @@ def load_composite(text: str) -> tuple[CompositeCtx, CompositeCtx | None]:
     if public.m != m or public.f != CompositePoly.from_text(combined_text, m):
         raise ValidationError("stored combined polynomial does not match its components")
     secret = None
-    if secret_polys:
-        if len(secret_polys) != count or secret_combined_text is None:
+    if secret_comps:
+        if len(secret_comps) != count or secret_combined_text is None:
             raise ValidationError("incomplete secret component set")
-        secret = CompositeCtx.from_components([RingCtx(f) for f in secret_polys])
+        secret = CompositeCtx.from_components(secret_comps)
         if secret.f != CompositePoly.from_text(secret_combined_text, m):
             raise ValidationError("stored combined secret does not match its components")
     elif secret_combined_text is not None:
@@ -394,30 +384,23 @@ def cmd_gen_params(args) -> int:
     if args.n < 1:
         raise ValidationError("n must be >= 1")
     _check_size(args.n, args.k)
-    try:
-        modulus = Modulus(args.p, args.s)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    modulus = Modulus(args.p, args.s)
     rng = _rng(args)
     f = random_monic_irreducible(modulus, args.n, rng)
     big_f = random_monic_irreducible(modulus, args.n, rng)
-    data = ParamData(args.p, args.s, args.n, _resolve_seed(args), args.beta, args.k, big_f, f, None)
+    data = ParamData(_resolve_seed(args), args.beta, args.k, RingCtx(big_f), RingCtx(f), None)
     _write_out(args.out, serialize_params(data))
     return 0
 
 
 def cmd_make_iso(args) -> int:
     data = load_params(_read_in(args.infile))
-    if data.f is None:
+    if data.src is None:
         raise ValidationError("make-iso needs a params file carrying secret.f")
-    rng = _rng(args)
-    src, dst = RingCtx(data.f), RingCtx(data.F)
-    from .gring import build_ring_iso
-
-    iso = build_ring_iso(src, dst, rng)
-    if not eval_poly(src.f, iso.phi_x).is_zero:
+    iso = build_ring_iso(data.src, data.dst, _rng(args))
+    if not eval_poly(data.src.f, iso.phi_x).is_zero:
         raise InvariantBreach("constructed phi_x is not a root of f")
-    data.phi_x = iso.phi_x.rep
+    data.iso = iso
     _write_out(args.out, serialize_params(data))
     return 0
 
@@ -427,12 +410,10 @@ def _instance_pieces(data: ParamData, args):
     k = args.k if args.k is not None else data.k
     if beta is None or k is None:
         raise ValidationError("beta and k must come from flags or the params file")
-    _check_size(data.n, k)
-    if data.f is None or data.phi_x is None:
+    _check_size(data.dst.n, k)
+    if data.iso is None:
         raise ValidationError("a params file with secret.f and secret.phi_x is required (run make-iso)")
-    src, dst = RingCtx(data.f), RingCtx(data.F)
-    iso = iso_from_phi_x(src, dst, dst.from_poly(data.phi_x))
-    return iso, beta, k
+    return data.iso, beta, k
 
 
 def cmd_sample(args) -> int:
@@ -457,10 +438,10 @@ def cmd_attack(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ValidationError(f"trials = {args.trials} is outside 1 <= trials <= {MAX_TRIALS}")
     data = load_params(_read_in(args.infile))
     iso, beta, k = _instance_pieces(data, args)
-    if args.trials < 1:
-        raise ValidationError("trials must be >= 1")
     rng = _rng(args)
     inst = instance_from_iso(iso, beta, k, rng)
     if args.strategy == "random":
@@ -479,13 +460,11 @@ def cmd_crt_combine(args) -> int:
     if len(args.infile) < 2:
         raise ValidationError("crt-combine needs at least two input files")
     datas = [load_params(_read_in(path)) for path in args.infile]
-    public = CompositeCtx.from_components([RingCtx(d.F) for d in datas])
-    secret_parts = None
-    secret_f = None
-    if all(d.f is not None for d in datas):
-        secret_parts = [d.f for d in datas]
-        secret_f = crt_combine_polys(secret_parts)
-    _write_out(args.out, serialize_composite(public, secret_parts, secret_f))
+    public = CompositeCtx.from_components([d.dst for d in datas])
+    secret = None
+    if all(d.src is not None for d in datas):
+        secret = CompositeCtx.from_components([d.src for d in datas])
+    _write_out(args.out, serialize_composite(public, secret))
     return 0
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .errors import DegreeMismatch, ModuliNotCoprime, ParamMismatch, ValidationError
 from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso
-from .poly import Poly, _raw_mul, _raw_rem_monic, _trim
+from .poly import Poly, _raw_add, _raw_mul, _raw_rem_monic, _raw_sub, _trim
 from .zmod import centered, xgcd
 
 
@@ -155,25 +155,11 @@ class CompositeElem:
 
     def __add__(self, other):
         self._same(other)
-        width = max(len(self.coeffs), len(other.coeffs))
-        return self.ctx.elem(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(width)
-            ]
-        )
+        return self.ctx.elem(_raw_add(self.coeffs, other.coeffs, self.ctx.m))
 
     def __sub__(self, other):
         self._same(other)
-        width = max(len(self.coeffs), len(other.coeffs))
-        return self.ctx.elem(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                - (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(width)
-            ]
-        )
+        return self.ctx.elem(_raw_sub(self.coeffs, other.coeffs, self.ctx.m))
 
     def __mul__(self, other):
         self._same(other)

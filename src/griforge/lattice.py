@@ -207,17 +207,12 @@ class CandidateVector:
     combo: tuple[int, ...] | None = None  # mod-p^s weights on the image rows
 
 
-def extract_short_vectors(reduced, beta: int, norm_bound_sq=None, lattice_rows=None):
+def extract_short_vectors(reduced, beta: int, norm_bound_sq=None):
     """Reduced-basis vectors of sup-norm <= beta, closed under negation.
 
     norm_bound_sq optionally caps the squared Euclidean length (used to
-    demand shortness relative to the lattice, not just entry size);
-    when lattice_rows is given, membership is re-verified exactly and
-    non-members are dropped.
+    demand shortness relative to the lattice, not just entry size).
     """
-    basis = None
-    if lattice_rows is not None:
-        basis, _ = hnf_row_basis(lattice_rows)
     seen = set()
     out = []
     for row in reduced:
@@ -229,13 +224,8 @@ def extract_short_vectors(reduced, beta: int, norm_bound_sq=None, lattice_rows=N
         if norm_bound_sq is not None and nsq > norm_bound_sq:
             continue
         for vec in (tuple(row), tuple(-x for x in row)):
-            if vec in seen:
-                continue
-            seen.add(vec)
-            member = True
-            if basis is not None:
-                member = solve_in_basis(vec, basis) is not None
-            if member:
+            if vec not in seen:
+                seen.add(vec)
                 out.append(CandidateVector(vec, nsq, True))
     out.sort(key=lambda c: (c.norm_sq, c.vector))
     return out
@@ -295,7 +285,10 @@ def run_attack(
     expansion over the image rows is recorded; candidates whose
     expansions span all n coordinates pin down an inverse-matrix
     column set, which is full key recovery up to column order.
+    gh_factor scales the heuristic bound and must be finite and > 0.
     """
+    if not 0 < gh_factor < math.inf:
+        raise ValueError(f"gh_factor must be finite and > 0, got {gh_factor}")
     start = time.perf_counter()
     params = instance.params
     target_beta = params.beta if beta is None else beta

@@ -3,10 +3,13 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 import griforge
+import griforge.cli as cli
+import griforge.gring as gring
 from griforge import gen_instance
 from griforge.cli import (
     load_composite,
@@ -32,13 +35,20 @@ def _gen(tmp_path, name="params.txt", p=2, s=3, n=4, seed=7, extra=()):
     return out
 
 
+def _iso(tmp_path):
+    iso_file = tmp_path / "iso.txt"
+    assert _run("make-iso", "--in", str(_gen(tmp_path)), "--seed", "5",
+                "--out", str(iso_file)) == 0
+    return iso_file
+
+
 def test_gen_params_deterministic(tmp_path):
     a = _gen(tmp_path, "a.txt")
     b = _gen(tmp_path, "b.txt")
     assert a.read_bytes() == b.read_bytes()
     data = load_params(a.read_text())
-    assert (data.p, data.s, data.n, data.seed) == (2, 3, 4, 7)
-    assert data.F.is_monic and data.f.is_monic
+    assert (data.dst.p, data.dst.s, data.dst.n, data.seed) == (2, 3, 4, 7)
+    assert data.dst.f.is_monic and data.src.f.is_monic
 
 
 def test_gen_params_env_seed(tmp_path, monkeypatch):
@@ -66,7 +76,7 @@ def test_make_iso_roundtrip(tmp_path):
     iso_file = tmp_path / "iso.txt"
     assert _run("make-iso", "--in", str(params), "--seed", "5", "--out", str(iso_file)) == 0
     data = load_params(iso_file.read_text())  # load re-validates phi_x as a root
-    assert data.phi_x is not None
+    assert data.iso is not None
     twice = tmp_path / "iso2.txt"
     assert _run("make-iso", "--in", str(params), "--seed", "5", "--out", str(twice)) == 0
     assert iso_file.read_bytes() == twice.read_bytes()
@@ -112,6 +122,10 @@ def test_sample_attack_pipeline(tmp_path, capsys):
     report2 = tmp_path / "report2.txt"
     assert _run("attack", "--in", str(inst_file), "--out", str(report2)) == 0
     assert report_file.read_bytes() == report2.read_bytes()
+
+    capsys.readouterr()
+    assert _run("attack", "--in", str(pub_file), "--gh-factor", "-0.8") == 3
+    assert "gh_factor" in capsys.readouterr().err
 
 
 def test_instance_roundtrip_bytes(tmp_path):
@@ -202,8 +216,29 @@ def test_crt_combine_rejects_shared_prime(tmp_path, capsys):
     assert "share a" in capsys.readouterr().err
 
 
+def test_loaders_validate_each_ring_once(tmp_path, monkeypatch):
+    iso_file = _iso(tmp_path)
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gring, "is_irreducible_mod_p",
+                        counted("irreducible", gring.is_irreducible_mod_p))
+    monkeypatch.setattr(cli, "iso_from_phi_x", counted("iso", cli.iso_from_phi_x))
+    pub = tmp_path / "pub.txt"
+    assert _run("sample", "--in", str(iso_file), "--beta", "1", "--k", "4",
+                "--seed", "1", "--public-only", "--out", str(pub)) == 0
+    assert counts == {"irreducible": 2, "iso": 1}  # F, secret.f, then phi_x
+    counts.clear()
+    assert _run("attack", "--in", str(pub)) == 0
+    assert counts == {"irreducible": 1}  # F only
+
+
 def test_invariant_breach_exits_4(tmp_path, monkeypatch, capsys):
-    import griforge.cli as cli
     from griforge.errors import InvariantBreach
 
     def broken(args):
@@ -254,9 +289,7 @@ def _huge_n(tmp_path):
 
 
 def _huge_k_flag(tmp_path):
-    iso_file = tmp_path / "iso.txt"
-    assert _run("make-iso", "--in", str(_gen(tmp_path)), "--seed", "5", "--out", str(iso_file)) == 0
-    return ("sample", "--in", str(iso_file), "--beta", "1", "--k", "100000000",
+    return ("sample", "--in", str(_iso(tmp_path)), "--beta", "1", "--k", "100000000",
             "--seed", "1", "--out", str(tmp_path / "i.txt")), "k <= 256"
 
 
@@ -269,9 +302,14 @@ def _huge_k_file(tmp_path):
     return ("attack", "--in", str(huge)), "k <= 256"
 
 
+def _huge_trials(tmp_path):
+    return ("distinguish", "--in", str(_iso(tmp_path)), "--beta", "1", "--k", "2",
+            "--trials", "1000000000000", "--seed", "1"), "trials <= 100000"
+
+
 @pytest.mark.parametrize(
-    "case", [_huge_modulus, _huge_n, _huge_k_flag, _huge_k_file],
-    ids=["modulus", "gen-params-n", "sample-k", "instance-k"],
+    "case", [_huge_modulus, _huge_n, _huge_k_flag, _huge_k_file, _huge_trials],
+    ids=["modulus", "gen-params-n", "sample-k", "instance-k", "distinguish-trials"],
 )
 def test_oversized_modulus_rejected_quickly(tmp_path, capsys, case):
     argv, bound = case(tmp_path)

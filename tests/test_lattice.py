@@ -178,7 +178,7 @@ def test_extract_empty_when_nothing_short():
 
 def test_extract_closed_under_negation_and_verified():
     reduced = [[1, 0, -1], [5, 5, 5], [0, 1, 1]]
-    cands = extract_short_vectors(reduced, 1, lattice_rows=reduced)
+    cands = extract_short_vectors(reduced, 1)
     vectors = {c.vector for c in cands}
     assert (1, 0, -1) in vectors and (-1, 0, 1) in vectors
     assert (0, 1, 1) in vectors and (0, -1, -1) in vectors
@@ -236,3 +236,11 @@ def test_run_attack_custom_delta_validation():
     inst = gen_instance(2, 4, 2, 1, 4, random.Random(11))
     with pytest.raises(BadDelta):
         run_attack(inst.public_only(), delta=Fraction(1, 8))
+
+
+@pytest.mark.parametrize("gh_factor", [-0.8, float("nan"), float("inf"), 0])
+def test_run_attack_rejects_bad_gh_factor(gh_factor):
+    # a negative factor squares to the same bound, nan and inf disable it
+    inst = gen_instance(2, 4, 2, 1, 4, random.Random(11))
+    with pytest.raises(ValueError, match="gh_factor"):
+        run_attack(inst.public_only(), gh_factor=gh_factor)
