@@ -2,13 +2,17 @@
 
 Files are UTF-8, one `key: value` field per line after a version
 header, with polynomials rendered as ascending comma-separated
-centered coefficients. Secret material always lives under keys
-prefixed `secret.`, so public exports can be checked mechanically.
+centered coefficients. `_ints_text`/`_parse_ints` are the one writer
+and reader of that list format, for polynomials, the combined
+composite polynomial and attack-report rows. Secret material always
+lives under keys prefixed `secret.`, so public exports can be checked
+mechanically.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 internal
-invariant breach. Untrusted n and k are bounded by MAX_N and MAX_K
-before any polynomial arithmetic, and distinguisher trials by
-MAX_TRIALS, so oversized input fails fast.
+invariant breach. Untrusted n, k and n * bits(p) are bounded by MAX_N,
+MAX_K and MAX_N_BITS before any polynomial arithmetic, distinguisher
+trials by MAX_TRIALS, and `attack --delta` refuses exponent notation,
+so oversized input fails fast.
 
 The loaders return the rings and the isomorphism they validated
 (`ParamData.dst`/`src`/`iso`, `GriInstance`, `CompositeCtx`), and the
@@ -43,6 +47,7 @@ SEED_ENV = "GRIFORGE_SEED"
 MAX_N = 64
 MAX_K = 256
 MAX_TRIALS = 100_000
+MAX_N_BITS = 256  # bound on n * p.bit_length(): an irreducibility test costs ~n*log2(p) products
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +94,26 @@ def _take_opt_int(fields: dict[str, str], key: str) -> int | None:
     return _take_int({key: fields.pop(key)}, key)
 
 
-def _take_poly(fields: dict[str, str], key: str, modulus: Modulus) -> Poly:
+def _ints_text(values) -> str:
+    """Comma-separated integers; the empty sequence (the zero polynomial) is "0"."""
+    return ",".join(map(str, values)) or "0"
+
+
+def _parse_ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
+
+
+def _take_ints(fields: dict[str, str], key: str) -> list[int]:
     if key not in fields:
         raise ValidationError(f"missing field {key!r}")
     try:
-        return Poly.from_text(fields.pop(key), modulus)
+        return _parse_ints(fields.pop(key))
     except ValueError:
         raise ValidationError(f"field {key!r} is not a polynomial") from None
+
+
+def _take_poly(fields: dict[str, str], key: str, modulus: Modulus) -> Poly:
+    return Poly(_take_ints(fields, key), modulus)
 
 
 def _take_modulus(fields: dict[str, str], prefix: str = "") -> Modulus:
@@ -107,8 +125,11 @@ def _take_modulus(fields: dict[str, str], prefix: str = "") -> Modulus:
         raise ValidationError(str(exc)) from None
 
 
-def _check_size(n: int | None, k: int | None = None):
-    for label, value, bound in (("n", n, MAX_N), ("k", k, MAX_K)):
+def _check_size(n: int | None, k: int | None = None, p: int | None = None):
+    nbits = None if p is None else n * p.bit_length()
+    for label, value, bound in (
+        ("n", n, MAX_N), ("k", k, MAX_K), ("n * bits(p)", nbits, MAX_N_BITS)
+    ):
         if value is not None and value > bound:
             raise ValidationError(f"{label} = {value} is above the bound {label} <= {bound}")
 
@@ -141,11 +162,11 @@ def serialize_params(data: ParamData) -> str:
         fields.append(("beta", str(data.beta)))
     if data.k is not None:
         fields.append(("k", str(data.k)))
-    fields.append(("F", dst.f.to_text()))
+    fields.append(("F", _ints_text(dst.f.coeffs)))
     if data.src is not None:
-        fields.append(("secret.f", data.src.f.to_text()))
+        fields.append(("secret.f", _ints_text(data.src.f.coeffs)))
     if data.iso is not None:
-        fields.append(("secret.phi_x", data.iso.phi_x.rep.to_text()))
+        fields.append(("secret.phi_x", _ints_text(data.iso.phi_x.rep.coeffs)))
     return _render("params", fields)
 
 
@@ -158,7 +179,7 @@ def load_params(text: str) -> ParamData:
     seed = _take_opt_int(fields, "seed")
     beta = _take_opt_int(fields, "beta")
     k = _take_opt_int(fields, "k")
-    _check_size(n, k)
+    _check_size(n, k, modulus.p)
     big_f = _take_poly(fields, "F", modulus)
     f = _take_poly(fields, "secret.f", modulus) if "secret.f" in fields else None
     phi_x = _take_poly(fields, "secret.phi_x", modulus) if "secret.phi_x" in fields else None
@@ -169,7 +190,7 @@ def load_params(text: str) -> ParamData:
     if phi_x is not None:
         if src is None:
             raise ValidationError("secret.phi_x requires secret.f")
-        iso = _iso_from_text(src, dst, phi_x)
+        iso = _checked_iso(src, dst, phi_x)
     return ParamData(seed, beta, k, dst, src, iso)
 
 
@@ -182,7 +203,7 @@ def _defining_ring(poly: Poly, n: int, label: str) -> RingCtx:
         raise ValidationError(f"{label}: {exc}") from None
 
 
-def _iso_from_text(src: RingCtx, dst: RingCtx, phi_poly: Poly) -> Isomorphism:
+def _checked_iso(src: RingCtx, dst: RingCtx, phi_poly: Poly) -> Isomorphism:
     try:
         return iso_from_phi_x(src, dst, dst.from_poly(phi_poly))
     except GriforgeError as exc:
@@ -201,15 +222,15 @@ def serialize_instance(inst: GriInstance, include_secret: bool = True) -> str:
         ("n", str(params.n)),
         ("beta", str(params.beta)),
         ("k", str(params.k)),
-        ("F", inst.dst.f.to_text()),
+        ("F", _ints_text(inst.dst.f.coeffs)),
     ]
     for i, image in enumerate(inst.images, start=1):
-        fields.append((f"A.{i}", image.rep.to_text()))
+        fields.append((f"A.{i}", _ints_text(image.rep.coeffs)))
     if include_secret and inst.secret is not None:
-        fields.append(("secret.f", inst.secret.src.f.to_text()))
-        fields.append(("secret.phi_x", inst.secret.iso.phi_x.rep.to_text()))
+        fields.append(("secret.f", _ints_text(inst.secret.src.f.coeffs)))
+        fields.append(("secret.phi_x", _ints_text(inst.secret.iso.phi_x.rep.coeffs)))
         for i, pre in enumerate(inst.secret.preimages, start=1):
-            fields.append((f"secret.a.{i}", pre.rep.to_text()))
+            fields.append((f"secret.a.{i}", _ints_text(pre.rep.coeffs)))
     return _render("instance", fields)
 
 
@@ -223,7 +244,7 @@ def load_instance(text: str) -> GriInstance:
     k = _take_int(fields, "k")
     if beta < 1 or k < 1:
         raise ValidationError("beta and k must be >= 1")
-    _check_size(n, k)
+    _check_size(n, k, modulus.p)
     dst = _defining_ring(_take_poly(fields, "F", modulus), n, "F")
     images = tuple(
         _take_elem(fields, f"A.{i}", dst) for i in range(1, k + 1)
@@ -231,7 +252,7 @@ def load_instance(text: str) -> GriInstance:
     secret = None
     if "secret.f" in fields:
         src = _defining_ring(_take_poly(fields, "secret.f", modulus), n, "secret.f")
-        iso = _iso_from_text(src, dst, _take_poly(fields, "secret.phi_x", modulus))
+        iso = _checked_iso(src, dst, _take_poly(fields, "secret.phi_x", modulus))
         preimages = tuple(
             _take_elem(fields, f"secret.a.{i}", src) for i in range(1, k + 1)
         )
@@ -260,12 +281,12 @@ def serialize_composite(public: CompositeCtx, secret: CompositeCtx | None) -> st
     for i, comp in enumerate(public.components, start=1):
         fields.append((f"component.{i}.p", str(comp.p)))
         fields.append((f"component.{i}.s", str(comp.s)))
-        fields.append((f"component.{i}.F", comp.f.to_text()))
-    fields.append(("F", public.f.to_text()))
+        fields.append((f"component.{i}.F", _ints_text(comp.f.coeffs)))
+    fields.append(("F", _ints_text(public.f.coeffs)))
     if secret is not None:
         for i, comp in enumerate(secret.components, start=1):
-            fields.append((f"secret.component.{i}.f", comp.f.to_text()))
-        fields.append(("secret.f", secret.f.to_text()))
+            fields.append((f"secret.component.{i}.f", _ints_text(comp.f.coeffs)))
+        fields.append(("secret.f", _ints_text(secret.f.coeffs)))
     return _render("composite", fields)
 
 
@@ -286,30 +307,29 @@ def load_composite(text: str) -> tuple[CompositeCtx, CompositeCtx | None]:
     secret_comps = []
     for i in range(1, count + 1):
         modulus = _take_modulus(fields, f"component.{i}.")
+        _check_size(n, p=modulus.p)
         big_f = _take_poly(fields, f"component.{i}.F", modulus)
         comps.append(_defining_ring(big_f, n, f"component.{i}.F"))
         if f"secret.component.{i}.f" in fields:
             f = _take_poly(fields, f"secret.component.{i}.f", modulus)
             secret_comps.append(_defining_ring(f, n, f"secret.component.{i}.f"))
-    combined_text = fields.pop("F", None)
-    if combined_text is None:
-        raise ValidationError("missing field 'F'")
-    secret_combined_text = fields.pop("secret.f", None)
+    combined = _take_ints(fields, "F")
+    secret_combined = _take_ints(fields, "secret.f") if "secret.f" in fields else None
     _reject_leftovers(fields)
     try:
         public = CompositeCtx.from_components(comps)
     except GriforgeError as exc:
         raise ValidationError(str(exc)) from None
-    if public.m != m or public.f != CompositePoly.from_text(combined_text, m):
+    if public.m != m or public.f != CompositePoly(combined, m):
         raise ValidationError("stored combined polynomial does not match its components")
     secret = None
     if secret_comps:
-        if len(secret_comps) != count or secret_combined_text is None:
+        if len(secret_comps) != count or secret_combined is None:
             raise ValidationError("incomplete secret component set")
         secret = CompositeCtx.from_components(secret_comps)
-        if secret.f != CompositePoly.from_text(secret_combined_text, m):
+        if secret.f != CompositePoly(secret_combined, m):
             raise ValidationError("stored combined secret does not match its components")
-    elif secret_combined_text is not None:
+    elif secret_combined is not None:
         raise ValidationError("secret.f present without secret components")
     return public, secret
 
@@ -331,14 +351,14 @@ def serialize_attack_report(report: AttackReport) -> str:
         ("shortness_ratio", repr(report.shortness_ratio)),
     ]
     for i, row in enumerate(report.basis, start=1):
-        fields.append((f"basis.{i}", ",".join(str(x) for x in row)))
+        fields.append((f"basis.{i}", _ints_text(row)))
     fields.append(("candidates", str(len(report.candidates))))
     for i, cand in enumerate(report.candidates, start=1):
-        fields.append((f"candidate.{i}", ",".join(str(x) for x in cand.vector)))
+        fields.append((f"candidate.{i}", _ints_text(cand.vector)))
         fields.append((f"candidate.{i}.norm_sq", str(cand.norm_sq)))
         fields.append((f"candidate.{i}.in_lattice", "true" if cand.in_lattice else "false"))
         if cand.combo is not None:
-            fields.append((f"candidate.{i}.combo", ",".join(str(x) for x in cand.combo)))
+            fields.append((f"candidate.{i}.combo", _ints_text(cand.combo)))
     fields.append(("recovery_rank", str(report.recovery_rank)))
     fields.append(("full_recovery", "true" if report.full_recovery else "false"))
     return _render("attack-report", fields)
@@ -383,7 +403,7 @@ def _write_out(path: str, text: str):
 def cmd_gen_params(args) -> int:
     if args.n < 1:
         raise ValidationError("n must be >= 1")
-    _check_size(args.n, args.k)
+    _check_size(args.n, args.k, args.p)
     modulus = Modulus(args.p, args.s)
     rng = _rng(args)
     f = random_monic_irreducible(modulus, args.n, rng)
@@ -425,11 +445,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    inst = load_instance(_read_in(args.infile))
+    if "e" in args.delta.lower():  # Fraction("1e10000000") would build 10^10000000
+        raise ValidationError(f"delta {args.delta!r} must be a decimal or a fraction, no exponent")
     try:
         delta = Fraction(args.delta)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"cannot parse delta {args.delta!r}") from None
+    inst = load_instance(_read_in(args.infile))
     report = run_attack(inst.public_only(), delta=delta, gh_factor=args.gh_factor)
     print(render_report(report))
     if args.out is not None:

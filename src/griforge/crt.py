@@ -48,21 +48,8 @@ class CompositePoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if i < len(self.coeffs) else 0
-
     def reduce_mod(self, md: int) -> tuple[int, ...]:
         return tuple(_trim([centered(c, md) for c in self.coeffs]))
-
-    def to_text(self) -> str:
-        return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
-
-    @classmethod
-    def from_text(cls, text: str, m: int) -> "CompositePoly":
-        text = text.strip()
-        if text == "0":
-            return cls((), m)
-        return cls(tuple(int(tok) for tok in text.split(",")), m)
 
 
 def crt_combine_polys(polys: Sequence[Poly]) -> CompositePoly:

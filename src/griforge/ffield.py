@@ -18,27 +18,8 @@ import random
 from itertools import zip_longest
 
 from .errors import CtxMismatch, InvariantBreach, NoRoot
-from .poly import Poly, _raw_add, _raw_divmod, _raw_mul, _raw_rem_monic, _raw_sub, is_irreducible_mod_p
-from .zmod import invmod
-
-
-def _trim(u):
-    while u and not u[-1]:
-        u.pop()
-    return u
-
-
-def _mul(a, b, p, fb):
-    return _raw_rem_monic(_raw_mul(a, b, p), fb, p)
-
-
-def _inv(a, p, fb):
-    """Inverse of a nonzero field element, by extended Euclid against fbar."""
-    r0, r1, u0, u1 = fb, a, [], [1]
-    while r1:
-        q, r = _raw_divmod(r0, r1, p)
-        r0, r1, u0, u1 = r1, r, u1, _raw_sub(u0, _raw_mul(q, u1, p), p)
-    return _raw_mul(u0, [invmod(r0[0], p)], p)
+from .poly import Poly, _fp_inv, _fp_mul, _raw_add, _raw_mul, _raw_rem_monic, _raw_sub, _trim
+from .poly import is_irreducible_mod_p
 
 
 def _tmul(u, v, p, fb):
@@ -56,8 +37,8 @@ def _tmul(u, v, p, fb):
 def _tmonic(u, p, fb):
     if u[-1] == [1]:
         return u
-    linv = _inv(u[-1], p, fb)
-    return [_mul(c, linv, p, fb) for c in u]
+    linv = _fp_inv(u[-1], p, fb)
+    return [_fp_mul(c, linv, p, fb) for c in u]
 
 
 def _tdivmod(u, v, p, fb):
@@ -69,7 +50,7 @@ def _tdivmod(u, v, p, fb):
         c = q[i] = r[i + len(v) - 1]
         if c:
             for j in range(len(v) - 1):
-                r[i + j] = _raw_sub(r[i + j], _mul(c, v[j], p, fb), p)
+                r[i + j] = _raw_sub(r[i + j], _fp_mul(c, v[j], p, fb), p)
     return _trim(q), _trim(r[: len(v) - 1])
 
 

@@ -25,8 +25,8 @@ from .errors import (
     ParamMismatch,
 )
 from .ffield import find_root
-from .poly import Poly, _fp_xgcd, is_irreducible_mod_p
-from .zmod import Modulus, invmod
+from .poly import Poly, _fp_inv, is_irreducible_mod_p
+from .zmod import Modulus
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,7 @@ class RingElem:
         red = self.reduce_mod_p()
         if red.is_zero:
             raise NotAUnit("element lies in the maximal ideal (p)")
-        g, u, _ = _fp_xgcd(red.rep, self.ctx.fbar)
-        z = self.ctx.elem((u * invmod(g.coeffs[0], self.ctx.p)).coeffs)
+        z = self.ctx.elem(_fp_inv(red.rep.coeffs, self.ctx.p, self.ctx.fbar.coeffs))
         if self.ctx.s > 1:
             two = self.ctx.elem([2])
             for _ in range((self.ctx.s - 1).bit_length()):

@@ -271,7 +271,6 @@ class AttackReport:
 
 def run_attack(
     instance: GriInstance,
-    beta: int | None = None,
     delta=DEFAULT_DELTA,
     gh_factor: float = DEFAULT_GH_FACTOR,
 ) -> AttackReport:
@@ -291,7 +290,6 @@ def run_attack(
         raise ValueError(f"gh_factor must be finite and > 0, got {gh_factor}")
     start = time.perf_counter()
     params = instance.params
-    target_beta = params.beta if beta is None else beta
     d_rows = build_attack_lattice(instance.images, instance.dst.modulus)
     basis, transform = hnf_row_basis(d_rows)
     reduced = lll_reduce(basis, delta)
@@ -303,7 +301,7 @@ def run_attack(
         det *= row[i]
     gh = math.sqrt(k / (2 * math.pi * math.e)) * math.exp(math.log(det) / k)
     bound_sq = (gh_factor * gh) ** 2
-    raw = extract_short_vectors(reduced, target_beta, norm_bound_sq=bound_sq)
+    raw = extract_short_vectors(reduced, params.beta, norm_bound_sq=bound_sq)
     candidates = []
     for cand in raw:
         coords = solve_in_basis(cand.vector, basis)
@@ -321,13 +319,13 @@ def run_attack(
         s=params.s,
         n=n,
         k=k,
-        beta=target_beta,
+        beta=params.beta,
         delta=Fraction(delta),
         gh_factor=gh_factor,
         basis=tuple(tuple(r) for r in reduced),
         candidates=tuple(candidates),
         gaussian_heuristic=gh,
-        shortness_ratio=target_beta * math.sqrt(k) / gh,
+        shortness_ratio=params.beta * math.sqrt(k) / gh,
         recovery_rank=rank,
         full_recovery=rank == n,
         elapsed=time.perf_counter() - start,

@@ -3,10 +3,6 @@
 from .zmod import centered, invmod
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b, m: int) -> list[list[int]]:
     cols = len(b[0])
     return [
@@ -27,7 +23,7 @@ def mat_inv_mod(a, m: int, p: int) -> list[list[int]]:
     (entry not divisible by p) then exists in every column.
     """
     n = len(a)
-    aug = [[centered(x, m) for x in row] + identity(n)[i] for i, row in enumerate(a)]
+    aug = [[centered(x, m) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
         if piv is None:

@@ -4,6 +4,9 @@ Coefficients are stored ascending by degree in centered form with
 trailing zeros trimmed; the zero polynomial has an empty coefficient
 tuple and degree -1. Division is only defined for divisors whose
 leading coefficient is a unit, in particular for monic divisors.
+The private `_raw_*` functions (Z/mZ[x]) and `_fp_*` functions
+(F_p[x]/(fbar)) on flat integer lists are the one kernel under `Poly`,
+the residue field, root finding and the composite rings.
 """
 
 import random
@@ -15,8 +18,9 @@ from .zmod import Modulus, centered, invmod
 _KARATSUBA_CUTOFF = 33  # coefficient count; schoolbook below
 
 
-def _trim(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
+def _trim(cs: list) -> list:
+    """Drop trailing zeros (or empty coefficient lists) in place."""
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
@@ -110,6 +114,30 @@ def _raw_divmod(a, b, m):
     return _trim(q), _trim([centered(c, m) for c in r[: len(b) - 1]])
 
 
+def _fp_mul(a, b, p, fb):
+    """Product in F_p[x]/(fb) of two reduced elements; fb is monic."""
+    return _raw_rem_monic(_raw_mul(a, b, p), fb, p)
+
+
+def _fp_inv(a, p, fb):
+    """Inverse of a nonzero element of the field F_p[x]/(fb), by extended Euclid against fb."""
+    r0, r1, u0, u1 = fb, a, [], [1]
+    while r1:
+        q, r = _raw_divmod(r0, r1, p)
+        r0, r1, u0, u1 = r1, r, u1, _raw_sub(u0, _raw_mul(q, u1, p), p)
+    return _raw_mul(u0, [invmod(r0[0], p)], p)
+
+
+def _fp_pow(a, e, p, fb):
+    """a^e in F_p[x]/(fb), e >= 1, by left-to-right square and multiply."""
+    result = a
+    for bit in bin(e)[3:]:
+        result = _fp_mul(result, result, p, fb)
+        if bit == "1":
+            result = _fp_mul(result, a, p, fb)
+    return result
+
+
 class Poly:
     """A polynomial over Z/p^sZ in canonical form."""
 
@@ -143,10 +171,6 @@ class Poly:
         return not self.coeffs
 
     @property
-    def leading(self) -> int:
-        return self.coeffs[-1]
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -168,30 +192,15 @@ class Poly:
     def __neg__(self) -> "Poly":
         return _wrap([centered(-c, self.modulus.m) for c in self.coeffs], self.modulus)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _wrap(
-                _trim([centered(c * other, self.modulus.m) for c in self.coeffs]),
-                self.modulus,
-            )
+    def __mul__(self, other: "Poly") -> "Poly":
         self._same(other)
         return _wrap(_raw_mul(self.coeffs, other.coeffs, self.modulus.m), self.modulus)
-
-    __rmul__ = __mul__
 
     def __mod__(self, f: "Poly") -> "Poly":
         self._same(f)
         if not f.is_monic or f.degree < 1:
             raise NonMonicDivisor("reduction requires a monic divisor of degree >= 1")
         return _wrap(_raw_rem_monic(self.coeffs, f.coeffs, self.modulus.m), self.modulus)
-
-    def divmod_unit(self, b: "Poly") -> tuple["Poly", "Poly"]:
-        """Division by b; the leading coefficient of b must be a unit."""
-        self._same(b)
-        if b.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = _raw_divmod(self.coeffs, b.coeffs, self.modulus.m)
-        return _wrap(q, self.modulus), _wrap(r, self.modulus)
 
     def derivative(self) -> "Poly":
         m = self.modulus.m
@@ -204,26 +213,6 @@ class Poly:
         """Coefficient-wise reduction into F_p; result lives modulo (p, 1)."""
         pmod = Modulus(self.modulus.p, 1)
         return Poly(self.coeffs, pmod)
-
-    def evaluate(self, x: int) -> int:
-        m = self.modulus.m
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = centered(acc * x + c, m)
-        return acc
-
-    def to_text(self) -> str:
-        """Ascending comma-separated centered coefficients; zero is "0"."""
-        if self.is_zero:
-            return "0"
-        return ",".join(str(c) for c in self.coeffs)
-
-    @classmethod
-    def from_text(cls, text: str, modulus: Modulus) -> "Poly":
-        parts = text.strip()
-        if parts == "0":
-            return cls.zero(modulus)
-        return cls((int(tok) for tok in parts.split(",")), modulus)
 
     def __eq__(self, other):
         return (
@@ -280,40 +269,6 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _fp_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over F_p."""
-    while not b.is_zero:
-        a, b = b, a.divmod_unit(b)[1]
-    if a.is_zero or a.is_monic:
-        return a
-    return a * invmod(a.leading, a.modulus.m)
-
-
-def _fp_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid over F_p: (g, u, v) with u*a + v*b = g."""
-    zero, one = Poly.zero(a.modulus), Poly.constant(1, a.modulus)
-    r0, r1 = a, b
-    u0, u1 = one, zero
-    v0, v1 = zero, one
-    while not r1.is_zero:
-        q, r = r0.divmod_unit(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return r0, u0, v0
-
-
-def _fp_powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.constant(1, base.modulus)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
-
-
 def is_irreducible_mod_p(f: Poly) -> bool:
     """Whether the reduction of f modulo p is irreducible over F_p.
 
@@ -323,17 +278,22 @@ def is_irreducible_mod_p(f: Poly) -> bool:
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("irreducibility test requires a monic polynomial of degree >= 1")
-    fbar = f.reduce_mod_p()
-    p = fbar.modulus.p
-    n = fbar.degree
+    p, n = f.modulus.p, f.degree
     if n == 1:
         return True
-    t = Poly.x(fbar.modulus)
-    for q in _prime_divisors(n):
-        h = _fp_powmod(t, p ** (n // q), fbar) - t
-        if _fp_gcd(fbar, h).degree != 0:
-            return False
-    return _fp_powmod(t, p**n, fbar) == t
+    fb = [centered(c, p) for c in f.coeffs]
+    x = [0, 1]
+    checks = {n // q for q in _prime_divisors(n)}
+    h = x  # x^(p^j) mod fbar after step j
+    for j in range(1, n + 1):
+        h = _fp_pow(h, p, p, fb)
+        if j in checks:
+            a, b = fb, _raw_sub(h, x, p)
+            while b:
+                a, b = b, _raw_divmod(a, b, p)[1]
+            if len(a) != 1:
+                return False
+    return h == x
 
 
 def random_monic_irreducible(modulus: Modulus, n: int, rng: random.Random) -> Poly:

@@ -307,9 +307,37 @@ def _huge_trials(tmp_path):
             "--trials", "1000000000000", "--seed", "1"), "trials <= 100000"
 
 
+def _huge_delta(tmp_path):
+    inst = gen_instance(2, 8, 6, 1, 12, random.Random(8))
+    pub = tmp_path / "pub.txt"
+    pub.write_text(serialize_instance(inst, include_secret=False))
+    return ("attack", "--in", str(pub), "--delta", "1e10000000"), "exponent"
+
+
+def _huge_nbits_flag(tmp_path):
+    return ("gen-params", "--p", "1000003", "--s", "1", "--n", "64", "--seed", "1",
+            "--out", str(tmp_path / "p.txt")), "n * bits(p) <= 256"
+
+
+def _huge_nbits_file(tmp_path):
+    text = _gen(tmp_path).read_text()
+    assert "p: 2\ns: 3\nn: 4\n" in text
+    text = text.replace("p: 2\ns: 3\nn: 4\n", "p: 1000003\ns: 1\nn: 64\n")
+    deg64 = ",".join(["1"] + ["0"] * 63 + ["1"])  # x^64 + 1
+    lines = [f"{line.split(': ')[0]}: {deg64}" if line.startswith(("F:", "secret.f:")) else line
+             for line in text.splitlines()]
+    huge = tmp_path / "huge.txt"
+    huge.write_text("\n".join(lines) + "\n")
+    return ("make-iso", "--in", str(huge), "--seed", "5", "--out", str(tmp_path / "iso.txt")), \
+        "n * bits(p) <= 256"
+
+
 @pytest.mark.parametrize(
-    "case", [_huge_modulus, _huge_n, _huge_k_flag, _huge_k_file, _huge_trials],
-    ids=["modulus", "gen-params-n", "sample-k", "instance-k", "distinguish-trials"],
+    "case",
+    [_huge_modulus, _huge_n, _huge_k_flag, _huge_k_file, _huge_trials, _huge_delta,
+     _huge_nbits_flag, _huge_nbits_file],
+    ids=["modulus", "gen-params-n", "sample-k", "instance-k", "distinguish-trials",
+         "attack-delta", "gen-params-nbits", "params-file-nbits"],
 )
 def test_oversized_modulus_rejected_quickly(tmp_path, capsys, case):
     argv, bound = case(tmp_path)

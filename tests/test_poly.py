@@ -3,6 +3,7 @@ import random
 import pytest
 
 from griforge import Modulus, Poly, is_irreducible_mod_p, random_monic_irreducible
+from griforge.cli import _ints_text, _parse_ints
 from griforge.errors import ModulusMismatch, NonMonicDivisor
 from helpers import exhaustive_irreducible, schoolbook_mul, schoolbook_rem
 
@@ -147,13 +148,16 @@ def test_rem_mul_compatible():
 
 
 def test_text_roundtrip():
+    # the file format lives in cli: one integer-list writer and reader
     f = Poly([-3, 1, 0, 2], M8)
-    assert Poly.from_text(f.to_text(), M8) == f
-    assert Poly.from_text("0", M8) == Poly.zero(M8)
-    assert Poly.zero(M8).to_text() == "0"
-
-
-def test_evaluate():
-    f = Poly([1, 1, 1], M8)
-    assert f.evaluate(2) == 7 - 8  # 7 centered mod 8 is -1
-    assert f.evaluate(0) == 1
+    assert _ints_text(f.coeffs) == "-3,1,0,2"
+    assert Poly(_parse_ints(_ints_text(f.coeffs)), M8) == f
+    assert _ints_text(Poly.zero(M8).coeffs) == "0"
+    assert Poly(_parse_ints("0"), M8) == Poly.zero(M8)
+    assert Poly(_parse_ints("5,-7"), M8) == Poly([-3, 1], M8)  # re-centered mod 8
+    row = (0, -12, 0, 255, -1)  # an attack-report basis row keeps its zeros
+    assert _ints_text(row) == "0,-12,0,255,-1"
+    assert tuple(_parse_ints(_ints_text(row))) == row
+    for bad in ("", "1,,2", "1.5", "x"):
+        with pytest.raises(ValueError):
+            _parse_ints(bad)
