@@ -150,8 +150,7 @@ class CompositeElem:
 
     def __mul__(self, other):
         self._same(other)
-        prod = _raw_mul(list(self.coeffs), list(other.coeffs), self.ctx.m)
-        return self.ctx.elem(prod)
+        return self.ctx.elem(_raw_mul(self.coeffs, other.coeffs, self.ctx.m))
 
     def split(self) -> tuple[RingElem, ...]:
         """Component elements by coefficient-wise reduction."""

@@ -18,20 +18,21 @@ import random
 from itertools import zip_longest
 
 from .errors import CtxMismatch, InvariantBreach, NoRoot
-from .poly import Poly, _fp_inv, _fp_mul, _raw_add, _raw_mul, _raw_rem_monic, _raw_sub, _trim
-from .poly import is_irreducible_mod_p
+from .poly import Poly, _fp_inv, _fp_mul, _pack, _raw_add, _raw_rem_monic, _raw_sub, _trim
+from .poly import _unpack, _width, is_irreducible_mod_p
 
 
 def _tmul(u, v, p, fb):
-    """Product in F_{p^n}[t]; each output coefficient is reduced modulo fbar once."""
-    out = [[0] * (2 * len(fb) - 3) for _ in range(len(u) + len(v) - 1)]
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                acc = out[i + j]
-                for k, c in enumerate(_raw_mul(a, b, p)):
-                    acc[k] += c
-    return _trim([_raw_rem_monic(c, fb, p) for c in out])
+    """Product in F_{p^n}[t]: x-slots in t-slots of 2n - 1, one multiply, one reduction each."""
+    d = 2 * len(fb) - 3
+    w = _width(min(len(u), len(v)) * (len(fb) - 1), p)
+    x = _pack([_pack(a, w, p) for a in u], d * w, 1 << d * w)  # inner packs are < 2^(dw)
+    x *= _pack([_pack(b, w, p) for b in v], d * w, 1 << d * w)
+    out = []
+    for _ in range(len(u) + len(v) - 1):
+        out.append(_raw_rem_monic(_unpack(x, w, d, p), fb, p))
+        x >>= d * w
+    return _trim(out)
 
 
 def _tmonic(u, p, fb):

@@ -25,7 +25,7 @@ from .errors import (
     ParamMismatch,
 )
 from .ffield import find_root
-from .poly import Poly, _fp_inv, is_irreducible_mod_p
+from .poly import Poly, _fp_inv, _trim, _wrap, is_irreducible_mod_p
 from .zmod import Modulus
 
 
@@ -253,15 +253,25 @@ class Isomorphism:
     fwd: tuple[tuple[int, ...], ...]
     bwd: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _packed(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return linalg.pack_rows(self.fwd, self.dst.m), linalg.pack_rows(self.bwd, self.src.m)
+
     def apply(self, a: RingElem) -> RingElem:
         if a.ctx != self.src:
             raise CtxMismatch("element is not in the source ring")
-        return self.dst.elem(linalg.vec_mat(a.coeff_vector(), self.fwd, self.dst.m))
+        return _image(a, self._packed[0], self.dst)
 
     def apply_inverse(self, a: RingElem) -> RingElem:
         if a.ctx != self.dst:
             raise CtxMismatch("element is not in the destination ring")
-        return self.src.elem(linalg.vec_mat(a.coeff_vector(), self.bwd, self.src.m))
+        return _image(a, self._packed[1], self.src)
+
+
+def _image(a: RingElem, rows, ctx: RingCtx) -> RingElem:
+    """The element of ctx whose coefficient vector is a's times the packed matrix."""
+    cs = _trim(linalg.vec_mat(a.rep.coeffs, rows, ctx.m))  # centered, degree < n
+    return RingElem(_wrap(cs, ctx.modulus), ctx)
 
 
 def _check_params(src: RingCtx, dst: RingCtx):

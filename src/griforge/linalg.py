@@ -1,19 +1,19 @@
 """Small dense-matrix helpers over Z/mZ with centered entries."""
 
+from .poly import _pack, _unpack, _width
 from .zmod import centered, invmod
 
 
-def mat_mul(a, b, m: int) -> list[list[int]]:
-    cols = len(b[0])
-    return [
-        [centered(sum(ra[t] * b[t][j] for t in range(len(ra))), m) for j in range(cols)]
-        for ra in a
-    ]
+def pack_rows(a, m: int) -> tuple[int, ...]:
+    """The rows of the square matrix a, Kronecker-packed for vec_mat."""
+    w = _width(len(a), m)
+    return tuple(_pack(r, w, m) for r in a)
 
 
-def vec_mat(v, a, m: int) -> list[int]:
-    cols = len(a[0])
-    return [centered(sum(v[i] * a[i][j] for i in range(len(v))), m) for j in range(cols)]
+def vec_mat(v, rows, m: int) -> list[int]:
+    """v (zero-padded) times the square matrix pack_rows packed: one sum of (v_i mod m) * row_i."""
+    n = len(rows)
+    return _unpack(sum((c % m) * r for c, r in zip(v, rows)), _width(n, m), n, m)
 
 
 def mat_inv_mod(a, m: int, p: int) -> list[list[int]]:

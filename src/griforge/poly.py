@@ -6,16 +6,17 @@ tuple and degree -1. Division is only defined for divisors whose
 leading coefficient is a unit, in particular for monic divisors.
 The private `_raw_*` functions (Z/mZ[x]) and `_fp_*` functions
 (F_p[x]/(fbar)) on flat integer lists are the one kernel under `Poly`,
-the residue field, root finding and the composite rings.
+the residue field, root finding and the composite rings. Bulk products
+are Kronecker-packed: `_pack`/`_unpack` put residues in bit slots wide
+enough that one big-integer multiply replaces the coefficient loops.
 """
 
 import random
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import ModulusMismatch, NonMonicDivisor
 from .zmod import Modulus, centered, invmod
-
-_KARATSUBA_CUTOFF = 33  # coefficient count; schoolbook below
 
 
 def _trim(cs: list) -> list:
@@ -26,63 +27,45 @@ def _trim(cs: list) -> list:
 
 
 def _raw_add(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim([centered(c, m) for c in out])
+    return _trim([centered(x + y, m) for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _raw_sub(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim([centered(c, m) for c in out])
+    return _trim([centered(x - y, m) for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def _school(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
+def _width(k, m):
+    """Slot width w in bits for a sum of k products of residues mod m: k(m-1)^2 < 2^w."""
+    return (k * (m - 1) ** 2).bit_length()
 
 
-def _kara(a, b):
-    """Karatsuba product of raw integer coefficient lists, no reduction."""
-    if not a or not b:
-        return []
-    if min(len(a), len(b)) < _KARATSUBA_CUTOFF:
-        return _school(a, b)
-    h = min(len(a), len(b)) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _kara(a0, b0)
-    z2 = _kara(a1, b1)
-    asum = [x + y for x, y in zip(a0, a1)] + list(a1[h:])
-    bsum = [x + y for x, y in zip(b0, b1)] + list(b1[h:])
-    z1 = _kara(asum, bsum)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-        out[i + h] -= c
-    for i, c in enumerate(z1):
-        out[i + h] += c
-    for i, c in enumerate(z2):
-        out[i + h] -= c
-        out[i + 2 * h] += c
+def _pack(cs, w, m):
+    """One integer holding the residue in [0, m) of cs[j] in bits [j*w, (j+1)*w)."""
+    x = 0
+    for c in reversed(cs):
+        x = (x << w) | (c % m)
+    return x
+
+
+def _unpack(x, w, count, m):
+    """The first count w-bit slots of x, from bit 0 up, each centered mod m."""
+    mask, half = (1 << w) - 1, m // 2
+    out = []
+    for _ in range(count):
+        r = (x & mask) % m
+        out.append(r - m if r > half else r)
+        x >>= w
     return out
 
 
 def _raw_mul(a, b, m):
+    """Product in Z/mZ[x] by Kronecker substitution: one big-integer multiply."""
     if not a or not b:
         return []
-    prod = _kara(list(a), list(b)) if min(len(a), len(b)) >= _KARATSUBA_CUTOFF else _school(a, b)
-    return _trim([centered(c, m) for c in prod])
+    w = _width(min(len(a), len(b)), m)
+    pa = _pack(a, w, m)
+    pb = pa if b is a else _pack(b, w, m)
+    return _trim(_unpack(pa * pb, w, len(a) + len(b) - 1, m))
 
 
 def _raw_rem_monic(a, f, m):
@@ -94,7 +77,6 @@ def _raw_rem_monic(a, f, m):
         if c:
             for j in range(df):
                 r[i - df + j] -= c * f[j]
-        r[i] = 0
     return _trim([centered(c, m) for c in r[:df]])
 
 
@@ -145,9 +127,7 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[int], modulus: Modulus):
         m = modulus.m
-        cs = [centered(int(c), m) for c in coeffs]
-        _trim(cs)
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trim([centered(int(c), m) for c in coeffs]))
         self.modulus = modulus
 
     @classmethod
@@ -203,11 +183,8 @@ class Poly:
         return _wrap(_raw_rem_monic(self.coeffs, f.coeffs, self.modulus.m), self.modulus)
 
     def derivative(self) -> "Poly":
-        m = self.modulus.m
-        return _wrap(
-            _trim([centered(i * c, m) for i, c in enumerate(self.coeffs)][1:]),
-            self.modulus,
-        )
+        cs = [centered(i * c, self.modulus.m) for i, c in enumerate(self.coeffs)]
+        return _wrap(_trim(cs[1:]), self.modulus)
 
     def reduce_mod_p(self) -> "Poly":
         """Coefficient-wise reduction into F_p; result lives modulo (p, 1)."""

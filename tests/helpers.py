@@ -63,6 +63,15 @@ def ring_horner(g: Poly, a):
     return acc
 
 
+def mat_mul(a, b, m):
+    """Matrix product, entries centered mod m."""
+    cols = len(b[0])
+    return [
+        [centered(sum(ra[t] * b[t][j] for t in range(len(ra))), m) for j in range(cols)]
+        for ra in a
+    ]
+
+
 def transpose(mat):
     return [list(col) for col in zip(*mat)]
 

@@ -38,11 +38,11 @@ from griforge import (
     run_distinguisher_experiment,
 )
 from griforge.cli import load_instance, main as cli_main, serialize_instance
-from griforge.linalg import mat_mul
 from helpers import (
     det_fraction,
     enumerate_shortest,
     is_lll_reduced,
+    mat_mul,
     transform_between,
 )
 

@@ -23,7 +23,9 @@ from griforge.errors import (
     NotAUnit,
     ParamMismatch,
 )
-from helpers import ring_horner
+from griforge.linalg import pack_rows, vec_mat
+from griforge.zmod import MAX_MODULUS_BITS, centered
+from helpers import mat_mul, ring_horner
 
 M4 = Modulus(2, 2)
 R16 = RingCtx(Poly([1, 1, 1], M4))  # Z_4[y]/(y^2+y+1)
@@ -197,6 +199,29 @@ def test_matrix_apply_matches_composition():
         assert iso.apply(a) == ring_horner(a.rep, iso.phi_x)
 
 
+@pytest.mark.parametrize(
+    "m", [2, 9, 2**32, 2**64, 65537**3, 2**MAX_MODULUS_BITS],
+    ids=["2", "9", "2^32", "2^64", "65537^3", "2^4096"],
+)
+def test_packed_vec_mat_matches_plain_sum(m):
+    rng = random.Random(m % 1013)
+
+    def plain(v, a):
+        v = list(v) + [0] * (len(a) - len(v))
+        return [centered(sum(v[i] * a[i][j] for i in range(len(a))), m) for j in range(len(a))]
+
+    cases = [([5], [[7]]), ([0], [[3]]), ([], [[3]]), ([-1], [[-1]])]
+    for n in (1, 2, 7, 24, 40):
+        cases.append(([-1] * n, [[-1] * n for _ in range(n)]))  # widest slot sums
+        cases.append(([0] * n, [[rng.randrange(m) for _ in range(n)] for _ in range(n)]))
+        for _ in range(5):
+            a = [[rng.randrange(-m, 2 * m) for _ in range(n)] for _ in range(n)]
+            v = [rng.randrange(-m, 2 * m) for _ in range(rng.randrange(n + 1))]
+            cases.append((v, a))
+    for v, a in cases:
+        assert vec_mat(v, pack_rows(a, m), m) == plain(v, a), (v, a)
+
+
 def test_commutative_diagram():
     rng = random.Random(5)
     m = Modulus(5, 3)
@@ -213,7 +238,6 @@ def test_commutative_diagram():
 
 def test_matrices_are_mutually_inverse():
     rng = random.Random(6)
-    from griforge.linalg import mat_mul
 
     for p, s, n in [(2, 2, 2), (3, 2, 3), (7, 4, 2)]:
         m = Modulus(p, s)

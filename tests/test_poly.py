@@ -5,6 +5,9 @@ import pytest
 from griforge import Modulus, Poly, is_irreducible_mod_p, random_monic_irreducible
 from griforge.cli import _ints_text, _parse_ints
 from griforge.errors import ModulusMismatch, NonMonicDivisor
+from griforge.ffield import _tmul
+from griforge.poly import _raw_mul
+from griforge.zmod import MAX_MODULUS_BITS
 from helpers import exhaustive_irreducible, schoolbook_mul, schoolbook_rem
 
 M4 = Modulus(2, 2)
@@ -26,6 +29,56 @@ def test_mul_matches_schoolbook_oracle():
         b = [rng.randrange(m.m) for _ in range(rng.randrange(0, 80))]
         got = Poly(a, m) * Poly(b, m)
         assert got.coeffs == schoolbook_mul(a, b, m.m)
+
+
+# Moduli for the packed products: word-size powers of two, an odd prime
+# power, and one at the modulus size bound.
+PACK_MODULI = [2**32, 2**64, 65537**3, Modulus(2, MAX_MODULUS_BITS).m]
+
+
+@pytest.mark.parametrize("m", PACK_MODULI, ids=["2^32", "2^64", "65537^3", "2^4096"])
+def test_packed_mul_matches_schoolbook_oracle(m):
+    rng = random.Random(m % 1009)
+    shapes = [(1, 80), (80, 1), (0, 5), (5, 0), (0, 0), (1, 1), (7, 13), (33, 40)]
+    for la, lb in shapes:
+        for a, b in [
+            ([rng.randrange(-m, 2 * m) for _ in range(la)], [rng.randrange(-m, 2 * m) for _ in range(lb)]),
+            ([-1] * la, [-1] * lb),  # every residue is m - 1: the widest slot sums
+            ([0] * la, [rng.randrange(m) for _ in range(lb)]),
+        ]:
+            assert tuple(_raw_mul(a, b, m)) == schoolbook_mul(a, b, m), (la, lb)
+    a = [-1] * 40
+    assert tuple(_raw_mul(a, a, m)) == schoolbook_mul(a, a, m)  # squaring packs once
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 5), (13, 8), (251, 4), (65537, 3)])
+def test_packed_tmul_matches_per_coefficient_oracle(p, n):
+    rng = random.Random(p * 100 + n)
+    fb = list(random_monic_irreducible(Modulus(p, 1), n, rng).coeffs)
+
+    def oracle(u, v):
+        out = []
+        for k in range(len(u) + len(v) - 1):
+            acc = [0] * (2 * n - 1)
+            for i in range(max(0, k - len(v) + 1), min(k, len(u) - 1) + 1):
+                for j, c in enumerate(schoolbook_mul(u[i], v[k - i], p)):
+                    acc[j] += c
+            out.append(list(schoolbook_rem(acc, fb, p)))
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def elem():
+        return [rng.randrange(p) - p // 2 for _ in range(rng.randrange(0, n + 1))]
+
+    cases = [([[-1] * n] * lu, [[-1] * n] * lv) for lu, lv in [(1, 1), (5, 5), (1, 9), (9, 2)]]
+    cases += [([], [elem()]), ([[]] * 3, [elem(), elem()])]
+    cases += [
+        ([elem() for _ in range(rng.randrange(1, 10))], [elem() for _ in range(rng.randrange(1, 10))])
+        for _ in range(20)
+    ]
+    for u, v in cases:
+        assert _tmul(u, v, p, fb) == oracle(u, v)
 
 
 def test_rem_examples():
