@@ -25,7 +25,8 @@ from .errors import (
     ParamMismatch,
 )
 from .ffield import find_root
-from .poly import Poly, _fp_inv, _trim, _wrap, is_irreducible_mod_p
+from .poly import Poly, _fp_inv, _mul_rem, _rem_matrix, _trim, _wrap
+from .poly import is_irreducible_mod_p
 from .zmod import Modulus
 
 
@@ -52,6 +53,10 @@ class RingCtx:
         if not is_irreducible_mod_p(self.f):
             raise NotIrreducible(f"{self.f!r} is reducible")
         return self
+
+    @cached_property
+    def _rem_matrix(self) -> tuple[int, int, tuple[int, ...]]:
+        return _rem_matrix(self.f.coeffs, self.m)
 
     @property
     def modulus(self) -> Modulus:
@@ -99,7 +104,8 @@ class RingCtx:
             yield self.elem(coeffs)
 
     def random_elem(self, rng: random.Random) -> "RingElem":
-        return self.elem([rng.randrange(self.m) for _ in range(self.n)])
+        m, n = self.m, self.n
+        return self.elem([rng.randrange(m) for _ in range(n)])
 
 
 @dataclass(frozen=True)
@@ -141,7 +147,10 @@ class RingElem:
 
     def __mul__(self, other):
         self._same(other)
-        return RingElem((self.rep * other.rep) % self.ctx.f, self.ctx)
+        ctx = self.ctx
+        m = ctx.m
+        cs = _mul_rem(self.rep.coeffs, other.rep.coeffs, ctx._rem_matrix, m)
+        return RingElem(_wrap(cs, ctx.modulus), ctx)
 
     def pow(self, e: int) -> "RingElem":
         if e < 0:
@@ -208,7 +217,9 @@ def hensel_iterates(g: Poly, alpha0: RingElem, ctx: RingCtx) -> list[RingElem]:
     beta_0 is alpha0 and beta_{i+1} = beta_i - g'(beta_i)^{-1} g(beta_i);
     the returned list always has exactly s entries, and g(beta_i) lies
     in (p^{i+1}) at every step (checked), so the final entry is an
-    exact root.
+    exact root. The step uses the exact inverse, so the precision
+    doubles and g(beta_i) = 0 after ceil(log2 s) steps; from the first
+    exact root on, the remaining entries repeat it without evaluating g.
     """
     if alpha0.ctx != ctx:
         raise CtxMismatch("start value does not live in the target ring")
@@ -223,6 +234,9 @@ def hensel_iterates(g: Poly, alpha0: RingElem, ctx: RingCtx) -> list[RingElem]:
     if not _in_ideal(val, 1):
         raise InvariantBreach("g(beta_0) is not in (p)")
     for i in range(ctx.s - 1):
+        if val.is_zero:
+            betas += [beta] * (ctx.s - 1 - i)
+            break
         beta = beta - eval_poly(gprime, beta).inv() * val
         val = eval_poly(g, beta)
         if not _in_ideal(val, i + 2):

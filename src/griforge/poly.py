@@ -9,6 +9,8 @@ The private `_raw_*` functions (Z/mZ[x]) and `_fp_*` functions
 the residue field, root finding and the composite rings. Bulk products
 are Kronecker-packed: `_pack`/`_unpack` put residues in bit slots wide
 enough that one big-integer multiply replaces the coefficient loops.
+Reduction modulo a fixed monic f is one packed vector-matrix product
+with its reduction matrix (`_rem_matrix`, built once by its owner).
 """
 
 import random
@@ -66,6 +68,49 @@ def _raw_mul(a, b, m):
     pa = _pack(a, w, m)
     pb = pa if b is a else _pack(b, w, m)
     return _trim(_unpack(pa * pb, w, len(a) + len(b) - 1, m))
+
+
+def _rem_matrix(f, m):
+    """The reduction matrix of the monic f of degree n, Kronecker-packed for _rem_slots.
+
+    Returns (n, w, rows), where rows[k] packs x^k mod f for k < 2n - 1
+    (x^k itself for k < n). Slot j of sum((a_k mod m) * rows[k]) adds
+    a_j and at most n - 1 products of residues, so the bound
+    (n - 1)(m - 1)^2 + m - 1 < 2^w keeps every slot apart.
+    """
+    n = len(f) - 1
+    w = ((n - 1) * (m - 1) ** 2 + m - 1).bit_length()
+    rows = [[0] * k + [1] for k in range(n)]
+    r = rows[-1]
+    for _ in range(n - 1):
+        c = r[-1]  # x * r = c * x^n + lower, and x^n = -(f - x^n)
+        r = [(x - c * y) % m for x, y in zip([0] + r[:-1], f)]
+        rows.append(r)
+    return n, w, tuple(_pack(r, w, m) for r in rows)
+
+
+def _rem_slots(x, w, red, m):
+    """Remainder modulo f of the polynomial in the first 2n - 1 w-bit slots of x.
+
+    red is _rem_matrix(f, m); the remainder is the packed sum of
+    (slot k mod m) * rows[k], read back with one _unpack.
+    """
+    n, wr, rows = red
+    mask = (1 << w) - 1
+    acc = 0
+    for r in rows:
+        acc += ((x & mask) % m) * r
+        x >>= w
+    return _trim(_unpack(acc, wr, n, m))
+
+
+def _mul_rem(a, b, red, m):
+    """Product of a and b (at most n coefficients each) modulo the f of red = _rem_matrix(f, m)."""
+    if not a or not b:
+        return []
+    w = _width(min(len(a), len(b)), m)
+    pa = _pack(a, w, m)
+    return _rem_slots(pa * (pa if b is a else _pack(b, w, m)), w, red, m)
 
 
 def _raw_rem_monic(a, f, m):
@@ -188,8 +233,7 @@ class Poly:
 
     def reduce_mod_p(self) -> "Poly":
         """Coefficient-wise reduction into F_p; result lives modulo (p, 1)."""
-        pmod = Modulus(self.modulus.p, 1)
-        return Poly(self.coeffs, pmod)
+        return Poly(self.coeffs, self.modulus.residue)
 
     def __eq__(self, other):
         return (

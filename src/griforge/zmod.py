@@ -110,6 +110,11 @@ class Modulus:
     def m(self) -> int:
         return self.p**self.s
 
+    @cached_property
+    def residue(self) -> "Modulus":
+        """The prime modulus p^1 of the residue field; self when s = 1."""
+        return self if self.s == 1 else Modulus(self.p, 1)
+
     def reduce(self, x: int) -> int:
         return centered(x, self.m)
 

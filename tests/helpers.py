@@ -63,6 +63,17 @@ def ring_horner(g: Poly, a):
     return acc
 
 
+def hensel_all_steps(g: Poly, alpha0):
+    """beta_0 .. beta_{s-1}: every one of the s - 1 Newton steps, with no early stop."""
+    ctx = alpha0.ctx
+    gprime = Poly([i * c for i, c in enumerate(g.coeffs)][1:], g.modulus)
+    betas = [alpha0]
+    for _ in range(ctx.s - 1):
+        beta = betas[-1]
+        betas.append(beta - ring_horner(gprime, beta).inv() * ring_horner(g, beta))
+    return betas
+
+
 def mat_mul(a, b, m):
     """Matrix product, entries centered mod m."""
     cols = len(b[0])

@@ -15,6 +15,7 @@ from griforge import (
     random_monic_irreducible,
 )
 from griforge.errors import CtxMismatch, NoRoot, NotAUnit, NotIrreducible, ParamMismatch
+from griforge.ffield import _tdivmod, _trem, _trev_inv
 from helpers import field_roots
 
 M2 = Modulus(2, 1)
@@ -96,33 +97,58 @@ def test_find_root_large_field():
     assert eval_poly(g, root).is_zero
 
 
-# (p, g, field polynomial, rng seed, root): the conjugate each seed selects.
-# p = 2 splits with the trace polynomial, odd p with powers, n = 1 needs no
-# splitting.
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (251, 3)])
+def test_newton_rem_matches_tdivmod(p, n):
+    rng = random.Random(p * 10 + n)
+    field = RingCtx(random_monic_irreducible(Modulus(p, 1), n, rng))
+    fb, red = list(field.f.coeffs), field._rem_matrix
+
+    def elem():
+        return list(field.random_elem(rng).rep.coeffs)
+
+    for dh in (1, 2, 8):
+        # rev(t^dh + 1)^-1 = 1 modulo t^(dh - 1), so the reversed quotient of a
+        # sparse u comes out shorter than the quotient.
+        for h in ([elem() for _ in range(dh)] + [[1]], [[1]] + [[]] * (dh - 1) + [[1]]):
+            hinv = _trev_inv(h, p, red)
+            cases = [[], [elem()]]
+            for length in range(1, 2 * dh):
+                cases.append([elem() for _ in range(length - 1)] + [elem() or [1]])
+                cases.append([[]] * (length - 1) + [elem() or [1]])  # c * t^(length - 1)
+            for u in cases:
+                assert _trem(u, h, hinv, p, red) == _tdivmod(u, h, p, fb, red)[1], (dh, u)
+
+
+# (p, g, field polynomial, rng seed, root, next 64 random bits): the conjugate
+# each seed selects, and the draw after the call, so any change in the number
+# of draws shows. p = 2 splits with the trace polynomial, odd p with powers,
+# n = 1 needs no splitting.
 GOLDEN_ROOTS = [
-    (2, (0, 1), (1, 1), 0, ()),
-    (2, (1, 0, 1, 0, 1, 1, 1), (1, 0, 0, 1, 0, 0, 1), 0, (1, 1, 0, 1, 1, 1)),
-    (2, (1, 0, 1, 0, 1, 1, 1), (1, 0, 0, 1, 0, 0, 1), 1, (1, 1, 0, 1, 1, 1)),
+    (2, (0, 1), (1, 1), 0, (), 7106521602475165645),
+    (2, (1, 0, 1, 0, 1, 1, 1), (1, 0, 0, 1, 0, 0, 1), 0, (1, 1, 0, 1, 1, 1), 14458531974522955699),
+    (2, (1, 0, 1, 0, 1, 1, 1), (1, 0, 0, 1, 0, 0, 1), 1, (1, 1, 0, 1, 1, 1), 15417145005318368486),
     (2, (1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1),
-     0, (0, 1, 0, 0, 1, 1, 1, 1, 1)),
+     0, (0, 1, 0, 0, 1, 1, 1, 1, 1), 10192262804094026689),
     (2, (1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1),
-     1, (1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1)),
-    (3, (1, 1), (-1, 1), 0, (-1,)),
-    (3, (-1, 1, -1, 0, -1, 1), (-1, 1, -1, 0, -1, 1), 0, (-1, 0, 1, -1)),
-    (3, (-1, 1, -1, 0, -1, 1), (-1, 1, -1, 0, -1, 1), 1, (1, 0, -1, -1, 1)),
-    (5, (1, 0, 1, 1, 1), (2, 0, 1, 0, 1), 0, (2, 1, 2)),
-    (5, (1, 0, 1, 1, 1), (2, 0, 1, 0, 1), 1, (0, -2, -2, -1)),
-    (7, (3, -2, 1, 1), (3, 0, 2, 1), 0, (-2, 2, -3)),
-    (13, (-4, -5, 1), (-6, -6, 1), 0, (4, 6)),
-    (13, (-4, -5, 1), (-6, -6, 1), 1, (1, -6)),
+     1, (1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1), 7786676433640950850),
+    (3, (1, 1), (-1, 1), 0, (-1,), 7106521602475165645),
+    (3, (-1, 1, -1, 0, -1, 1), (-1, 1, -1, 0, -1, 1), 0, (-1, 0, 1, -1), 11813726597345908409),
+    (3, (-1, 1, -1, 0, -1, 1), (-1, 1, -1, 0, -1, 1), 1, (1, 0, -1, -1, 1), 14037279428536751483),
+    (5, (1, 0, 1, 1, 1), (2, 0, 1, 0, 1), 0, (2, 1, 2), 9431353882395063546),
+    (5, (1, 0, 1, 1, 1), (2, 0, 1, 0, 1), 1, (0, -2, -2, -1), 9139164268605729673),
+    (7, (3, -2, 1, 1), (3, 0, 2, 1), 0, (-2, 2, -3), 7758176404715800194),
+    (13, (-4, -5, 1), (-6, -6, 1), 0, (4, 6), 7758176404715800194),
+    (13, (-4, -5, 1), (-6, -6, 1), 1, (1, -6), 14799178230035213023),
 ]
 
 
 def test_find_root_golden_conjugates():
-    for p, g, f, seed, root in GOLDEN_ROOTS:
+    for p, g, f, seed, root, draw in GOLDEN_ROOTS:
         m = Modulus(p, 1)
-        got = find_root(Poly(g, m), RingCtx(Poly(f, m)), random.Random(seed))
+        rng = random.Random(seed)
+        got = find_root(Poly(g, m), RingCtx(Poly(f, m)), rng)
         assert got.rep.coeffs == root, (p, g, seed)
+        assert rng.getrandbits(64) == draw, (p, g, seed)
     m8 = Modulus(2, 3)
     with pytest.raises(CtxMismatch):  # s > 1 is not a field
         find_root(Poly([1, 1, 1], m8), RingCtx(Poly([1, 1, 1], m8)), random.Random(0))

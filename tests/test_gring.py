@@ -6,9 +6,11 @@ from griforge import (
     Modulus,
     Poly,
     RingCtx,
+    RingElem,
     build_ring_iso,
     eval_poly,
     field_iso_from_root,
+    find_root,
     hensel_iterates,
     hensel_lift,
     iso_from_phi_x,
@@ -25,7 +27,7 @@ from griforge.errors import (
 )
 from griforge.linalg import pack_rows, vec_mat
 from griforge.zmod import MAX_MODULUS_BITS, centered
-from helpers import mat_mul, ring_horner
+from helpers import hensel_all_steps, mat_mul, ring_horner
 
 M4 = Modulus(2, 2)
 R16 = RingCtx(Poly([1, 1, 1], M4))  # Z_4[y]/(y^2+y+1)
@@ -125,6 +127,40 @@ def test_hensel_iteration_count_and_chain():
             e = p ** min(i + 1, s)
             assert all(c % e == 0 for c in val.rep.coeffs)
         assert eval_poly(src_f, iters[-1]).is_zero
+
+
+def _lift_start(p, s, n, seed):
+    """(g, alpha0, ctx): a random g and a residue root of it, trivially lifted into a second ring."""
+    rng = random.Random(seed)
+    m = Modulus(p, s)
+    g = random_monic_irreducible(m, n, rng)
+    ctx = RingCtx(random_monic_irreducible(m, n, rng))
+    root_bar = find_root(g.reduce_mod_p(), ctx.residue_field, rng)
+    return g, ctx.elem(root_bar.rep.coeffs), ctx
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 32, 24), (2, 8, 6), (3, 10, 8), (7, 2, 16), (5, 1, 4)])
+def test_hensel_iterates_match_all_steps_oracle(p, s, n):
+    g, alpha0, ctx = _lift_start(p, s, n, p * s + n)
+    iters = hensel_iterates(g, alpha0, ctx)
+    assert iters == hensel_all_steps(g, alpha0)
+    assert len(iters) == s and eval_poly(g, iters[-1]).is_zero
+    exact = iters[-1]  # already an exact root: every iterate repeats it
+    assert hensel_iterates(g, exact, ctx) == hensel_all_steps(g, exact) == [exact] * s
+
+
+def test_hensel_inverts_at_most_log2_s_times(monkeypatch):
+    g, alpha0, ctx = _lift_start(2, 32, 24, 88)
+    calls = []
+    inv = RingElem.inv
+
+    def counted(self):
+        calls.append(1)
+        return inv(self)
+
+    monkeypatch.setattr(RingElem, "inv", counted)
+    hensel_iterates(g, alpha0, ctx)
+    assert 0 < len(calls) <= (ctx.s - 1).bit_length()  # ceil(log2 s) for s >= 2
 
 
 def test_hensel_uniqueness_brute_force():

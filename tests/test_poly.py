@@ -6,7 +6,7 @@ from griforge import Modulus, Poly, is_irreducible_mod_p, random_monic_irreducib
 from griforge.cli import _ints_text, _parse_ints
 from griforge.errors import ModulusMismatch, NonMonicDivisor
 from griforge.ffield import _tmul
-from griforge.poly import _raw_mul
+from griforge.poly import _mul_rem, _pack, _raw_mul, _rem_matrix, _rem_slots
 from griforge.zmod import MAX_MODULUS_BITS
 from helpers import exhaustive_irreducible, schoolbook_mul, schoolbook_rem
 
@@ -51,10 +51,28 @@ def test_packed_mul_matches_schoolbook_oracle(m):
     assert tuple(_raw_mul(a, a, m)) == schoolbook_mul(a, a, m)  # squaring packs once
 
 
+@pytest.mark.parametrize("m", [2, 2**32, 65537**3, Modulus(2, MAX_MODULUS_BITS).m],
+                         ids=["2", "2^32", "65537^3", "2^4096"])
+def test_packed_rem_matrix_matches_schoolbook_rem(m):
+    rng = random.Random(m % 1009)
+    w = (m - 1).bit_length()  # input slots hold residues only
+    for n in (1, 2, 6, 24):
+        # All-ones f puts m - 1 in every coefficient of x^n mod f, so at n = 2
+        # the all-(-1) input fills a slot of the reduction sum to its bound.
+        for f in ([1] * (n + 1), [rng.randrange(m) for _ in range(n)] + [1]):
+            red = _rem_matrix(f, m)
+            for length in (0, 1, n, 2 * n - 1):
+                for a in ([rng.randrange(-m, 2 * m) for _ in range(length)], [-1] * length):
+                    assert tuple(_rem_slots(_pack(a, w, m), w, red, m)) == schoolbook_rem(a, f, m)
+            a = [-1] * n
+            assert tuple(_mul_rem(a, a, red, m)) == schoolbook_rem(schoolbook_mul(a, a, m), f, m)
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 5), (13, 8), (251, 4), (65537, 3)])
 def test_packed_tmul_matches_per_coefficient_oracle(p, n):
     rng = random.Random(p * 100 + n)
     fb = list(random_monic_irreducible(Modulus(p, 1), n, rng).coeffs)
+    red = _rem_matrix(fb, p)
 
     def oracle(u, v):
         out = []
@@ -78,7 +96,7 @@ def test_packed_tmul_matches_per_coefficient_oracle(p, n):
         for _ in range(20)
     ]
     for u, v in cases:
-        assert _tmul(u, v, p, fb) == oracle(u, v)
+        assert _tmul(u, v, p, red) == oracle(u, v)
 
 
 def test_rem_examples():

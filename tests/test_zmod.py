@@ -84,6 +84,8 @@ def test_modulus_validation():
         Modulus(2, MAX_MODULUS_BITS + 1)
     with pytest.raises(ValueError, match="too large"):
         Modulus(3, 10**9)  # refused before 3**s is computed
+    m = Modulus(3, 4)  # the residue modulus is built, and p tested, once
+    assert Poly([1, 2], m).reduce_mod_p().modulus is Poly([5], m).reduce_mod_p().modulus
 
 
 def test_is_prime_covers_mr_range():
