@@ -12,12 +12,10 @@ from .crt import (
     CompositeCtx,
     CompositeElem,
     CompositeIsomorphism,
-    CompositePoly,
     build_composite_iso,
     crt_combine_elems,
     crt_combine_polys,
     crt_ints,
-    crt_split_elem,
 )
 from .ffield import find_root
 from .gri import (

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crt import CompositeCtx, CompositePoly
+from .crt import CompositeCtx
 from .errors import GriforgeError, InvariantBreach, ValidationError
 from .gri import (
     GriInstance,
@@ -39,7 +39,7 @@ from .gri import (
 )
 from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso, eval_poly, iso_from_phi_x
 from .lattice import AttackReport, render_report, run_attack
-from .poly import Poly, random_monic_irreducible
+from .poly import Poly, _canon, random_monic_irreducible
 from .zmod import Modulus
 
 FORMAT_HEADER = "griforge 1"
@@ -166,7 +166,7 @@ def serialize_params(data: ParamData) -> str:
     if data.src is not None:
         fields.append(("secret.f", _ints_text(data.src.f.coeffs)))
     if data.iso is not None:
-        fields.append(("secret.phi_x", _ints_text(data.iso.phi_x.rep.coeffs)))
+        fields.append(("secret.phi_x", _ints_text(data.iso.phi_x.coeffs)))
     return _render("params", fields)
 
 
@@ -205,7 +205,7 @@ def _defining_ring(poly: Poly, n: int, label: str) -> RingCtx:
 
 def _checked_iso(src: RingCtx, dst: RingCtx, phi_poly: Poly) -> Isomorphism:
     try:
-        return iso_from_phi_x(src, dst, dst.from_poly(phi_poly))
+        return iso_from_phi_x(src, dst, dst.elem(phi_poly.coeffs))
     except GriforgeError as exc:
         raise ValidationError(f"invalid phi_x: {exc}") from None
 
@@ -225,12 +225,12 @@ def serialize_instance(inst: GriInstance, include_secret: bool = True) -> str:
         ("F", _ints_text(inst.dst.f.coeffs)),
     ]
     for i, image in enumerate(inst.images, start=1):
-        fields.append((f"A.{i}", _ints_text(image.rep.coeffs)))
+        fields.append((f"A.{i}", _ints_text(image.coeffs)))
     if include_secret and inst.secret is not None:
         fields.append(("secret.f", _ints_text(inst.secret.src.f.coeffs)))
-        fields.append(("secret.phi_x", _ints_text(inst.secret.iso.phi_x.rep.coeffs)))
+        fields.append(("secret.phi_x", _ints_text(inst.secret.iso.phi_x.coeffs)))
         for i, pre in enumerate(inst.secret.preimages, start=1):
-            fields.append((f"secret.a.{i}", _ints_text(pre.rep.coeffs)))
+            fields.append((f"secret.a.{i}", _ints_text(pre.coeffs)))
     return _render("instance", fields)
 
 
@@ -265,7 +265,7 @@ def _take_elem(fields: dict[str, str], key: str, ctx: RingCtx) -> RingElem:
     poly = _take_poly(fields, key, ctx.modulus)
     if poly.degree >= ctx.n:
         raise ValidationError(f"field {key!r} has degree >= n")
-    return RingElem(poly, ctx)
+    return RingElem(poly.coeffs, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +282,11 @@ def serialize_composite(public: CompositeCtx, secret: CompositeCtx | None) -> st
         fields.append((f"component.{i}.p", str(comp.p)))
         fields.append((f"component.{i}.s", str(comp.s)))
         fields.append((f"component.{i}.F", _ints_text(comp.f.coeffs)))
-    fields.append(("F", _ints_text(public.f.coeffs)))
+    fields.append(("F", _ints_text(public.f)))
     if secret is not None:
         for i, comp in enumerate(secret.components, start=1):
             fields.append((f"secret.component.{i}.f", _ints_text(comp.f.coeffs)))
-        fields.append(("secret.f", _ints_text(secret.f.coeffs)))
+        fields.append(("secret.f", _ints_text(secret.f)))
     return _render("composite", fields)
 
 
@@ -320,14 +320,14 @@ def load_composite(text: str) -> tuple[CompositeCtx, CompositeCtx | None]:
         public = CompositeCtx.from_components(comps)
     except GriforgeError as exc:
         raise ValidationError(str(exc)) from None
-    if public.m != m or public.f != CompositePoly(combined, m):
+    if public.m != m or public.f != _canon(combined, m):
         raise ValidationError("stored combined polynomial does not match its components")
     secret = None
     if secret_comps:
         if len(secret_comps) != count or secret_combined is None:
             raise ValidationError("incomplete secret component set")
         secret = CompositeCtx.from_components(secret_comps)
-        if secret.f != CompositePoly(secret_combined, m):
+        if secret.f != _canon(secret_combined, m):
             raise ValidationError("stored combined secret does not match its components")
     elif secret_combined is not None:
         raise ValidationError("secret.f present without secret components")

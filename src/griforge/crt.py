@@ -1,19 +1,23 @@
 """Composite rings Z/mZ[x]/(f) glued from Galois ring components with
 pairwise distinct characteristics.
 
-The modulus m is a product of coprime prime powers, f reduces to the
-component defining polynomial modulo each of them, and elements split
-into component elements by coefficient-wise reduction. Isomorphisms
-are transported componentwise: split, map, recombine.
+The modulus m is the product of the coprime component prime powers,
+f is the centered coefficient tuple that reduces to the component
+defining polynomial modulo each of them, and elements are centered
+coefficient tuples that split into component elements by
+coefficient-wise reduction. Arithmetic is the raw kernel of `poly`.
+Isomorphisms are transported componentwise: split, map, recombine.
 """
 
+import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DegreeMismatch, ModuliNotCoprime, ParamMismatch, ValidationError
 from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso
-from .poly import Poly, _raw_add, _raw_mul, _raw_rem_monic, _raw_sub, _trim
+from .poly import Poly, _canon, _raw_add, _raw_mul, _raw_sub
 from .zmod import centered, xgcd
 
 
@@ -29,31 +33,11 @@ def crt_ints(residues: Sequence[int], moduli: Sequence[int]) -> int:
     return centered(x, m)
 
 
-@dataclass(frozen=True)
-class CompositePoly:
-    """A polynomial with centered coefficients modulo a composite m."""
+def crt_combine_polys(polys: Sequence[Poly]) -> tuple[int, ...]:
+    """Combine monic same-degree component polynomials coefficient-wise.
 
-    coeffs: tuple[int, ...]
-    m: int
-
-    def __post_init__(self):
-        cs = _trim([centered(int(c), self.m) for c in self.coeffs])
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def reduce_mod(self, md: int) -> tuple[int, ...]:
-        return tuple(_trim([centered(c, md) for c in self.coeffs]))
-
-
-def crt_combine_polys(polys: Sequence[Poly]) -> CompositePoly:
-    """Combine monic same-degree component polynomials coefficient-wise."""
+    The result is centered modulo the product of the component moduli.
+    """
     polys = list(polys)
     if not polys:
         raise ValueError("at least one polynomial required")
@@ -62,12 +46,7 @@ def crt_combine_polys(polys: Sequence[Poly]) -> CompositePoly:
     if not all(f.is_monic for f in polys):
         raise ValueError("component polynomials must be monic")
     moduli = [f.modulus.m for f in polys]
-    width = polys[0].degree + 1
-    coeffs = [crt_ints([f.coeff(i) for f in polys], moduli) for i in range(width)]
-    m = 1
-    for md in moduli:
-        m *= md
-    return CompositePoly(tuple(coeffs), m)
+    return _combine_vectors([f.coeffs for f in polys], moduli, polys[0].degree + 1)
 
 
 def _combine_vectors(vectors: Sequence[Sequence[int]], moduli: Sequence[int], width: int):
@@ -79,10 +58,10 @@ def _combine_vectors(vectors: Sequence[Sequence[int]], moduli: Sequence[int], wi
 
 @dataclass(frozen=True)
 class CompositeCtx:
-    """Z/mZ[x]/(f) presented by its Galois ring components."""
+    """Z/mZ[x]/(f) presented by its Galois ring components; f is centered mod m."""
 
     components: tuple[RingCtx, ...]
-    f: CompositePoly
+    f: tuple[int, ...]
 
     def __post_init__(self):
         if not self.components:
@@ -92,13 +71,10 @@ class CompositeCtx:
             raise ModuliNotCoprime("component characteristics share a prime")
         if len({c.n for c in self.components}) != 1:
             raise DegreeMismatch("components differ in degree")
-        m = 1
-        for c in self.components:
-            m *= c.m
-        if self.f.m != m or not self.f.is_monic or self.f.degree != self.components[0].n:
+        if len(self.f) != self.n + 1 or self.f[-1] != 1 or _canon(self.f, self.m) != self.f:
             raise ValidationError("combined polynomial has the wrong shape")
         for c in self.components:
-            if self.f.reduce_mod(c.m) != c.f.coeffs:
+            if _canon(self.f, c.m) != c.f.coeffs:
                 raise ValidationError("combined polynomial does not match a component")
 
     @classmethod
@@ -107,19 +83,16 @@ class CompositeCtx:
         f = crt_combine_polys([c.f for c in components])
         return cls(components, f)
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return self.f.m
+        return math.prod(c.m for c in self.components)
 
     @property
     def n(self) -> int:
-        return self.f.degree
+        return self.components[0].n
 
     def elem(self, coeffs) -> "CompositeElem":
-        cs = _trim([centered(int(c), self.m) for c in coeffs])
-        if len(cs) > self.n:
-            cs = _raw_rem_monic(cs, list(self.f.coeffs), self.m)
-        return CompositeElem(tuple(cs), self)
+        return CompositeElem(_canon(coeffs, self.m, self.f), self)
 
     def zero(self) -> "CompositeElem":
         return CompositeElem((), self)
@@ -157,10 +130,6 @@ class CompositeElem:
         return tuple(c.elem(self.coeffs) for c in self.ctx.components)
 
 
-def crt_split_elem(a: CompositeElem) -> tuple[RingElem, ...]:
-    return a.split()
-
-
 def crt_combine_elems(parts: Sequence[RingElem], ctx: CompositeCtx) -> CompositeElem:
     """Inverse of splitting: recombine one element per component."""
     parts = list(parts)
@@ -170,7 +139,7 @@ def crt_combine_elems(parts: Sequence[RingElem], ctx: CompositeCtx) -> Composite
         if part.ctx != comp:
             raise ParamMismatch("component element in the wrong ring")
     moduli = [c.m for c in ctx.components]
-    vectors = [part.rep.coeffs for part in parts]
+    vectors = [part.coeffs for part in parts]
     return ctx.elem(_combine_vectors(vectors, moduli, ctx.n))
 
 
@@ -188,7 +157,7 @@ class CompositeIsomorphism:
         """Combined image of x; reduces to each component image."""
         vectors = [None] * len(self.parts)
         for i, part in enumerate(self.parts):
-            vectors[self.dst_index[i]] = part.phi_x.rep.coeffs
+            vectors[self.dst_index[i]] = part.phi_x.coeffs
         moduli = [c.m for c in self.dst.components]
         return self.dst.elem(_combine_vectors(vectors, moduli, self.dst.n))
 

@@ -13,10 +13,6 @@ class NotAUnit(GriforgeError):
     """Inversion was asked of an element divisible by p."""
 
 
-class NonMonicDivisor(GriforgeError):
-    """Polynomial division modulo p^s needs a monic divisor."""
-
-
 class NotIrreducible(GriforgeError):
     """A defining polynomial is reducible modulo p."""
 

@@ -137,7 +137,7 @@ def find_root(g: Poly, field, rng: random.Random):
         attempts += 1
         if attempts > 64 * (n + 1):
             raise NoRoot("equal-degree splitting did not converge")
-        delta = list(field.random_elem(rng).rep.coeffs)
+        delta = list(field.random_elem(rng).coeffs)
         if p == 2:
             # Absolute trace of delta*t: sum of (delta*t)^(2^i), i < n.
             u = _trim([[], delta])

@@ -41,10 +41,6 @@ class ChiBeta:
     def n(self) -> int:
         return self.ctx.n
 
-    @property
-    def modulus(self) -> Modulus:
-        return self.ctx.modulus
-
     def sample(self, rng: random.Random) -> RingElem:
         return self.ctx.elem([rng.randint(-self.beta, self.beta) for _ in range(self.n)])
 
@@ -215,7 +211,7 @@ def reduce_to_ffi(inst: GriInstance) -> GriInstance:
         iso_bar = iso_from_phi_x(src_bar, dst_bar, inst.secret.iso.phi_x.reduce_mod_p())
         preimages = tuple(a.reduce_mod_p() for a in inst.secret.preimages)
         for before, after in zip(inst.secret.preimages, preimages):
-            if before.rep.coeffs != after.rep.coeffs:
+            if before.coeffs != after.coeffs:
                 raise InvariantBreach("preimage changed under reduction mod p")
         secret_bar = GriSecret(src_bar, iso_bar, preimages)
     params = inst.params._replace(s=1)

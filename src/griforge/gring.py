@@ -5,6 +5,9 @@ A ring presentation is (Z/p^sZ)[x]/(f) with f monic of degree n and
 irreducible modulo p. The residue field F_p[x]/(fbar) is the s = 1
 ring over fbar, so one type serves both. The reduction map onto it has
 kernel (p); an element is a unit exactly when its reduction is nonzero.
+An element is its coefficient tuple, centered mod p^s and trimmed, and
+its arithmetic calls the raw kernel of `poly` directly; the `Poly` f
+only defines the ring.
 """
 
 import random
@@ -25,8 +28,8 @@ from .errors import (
     ParamMismatch,
 )
 from .ffield import find_root
-from .poly import Poly, _fp_inv, _mul_rem, _rem_matrix, _trim, _wrap
-from .poly import is_irreducible_mod_p
+from .poly import Poly, _canon, _fp_inv, _mul_rem, _pretty, _raw_add, _raw_sub, _rem_matrix
+from .poly import _trim, _wrap, is_irreducible_mod_p
 from .zmod import Modulus
 
 
@@ -79,24 +82,20 @@ class RingCtx:
         return self.f.degree
 
     def elem(self, coeffs) -> "RingElem":
-        return self.from_poly(Poly(coeffs, self.modulus))
-
-    def from_poly(self, rep: Poly) -> "RingElem":
-        if rep.degree >= self.n:
-            rep = rep % self.f
-        return RingElem(rep, self)
+        """The class of the polynomial with these coefficients, in canonical form."""
+        return RingElem(_canon(coeffs, self.m, self.f.coeffs), self)
 
     def zero(self) -> "RingElem":
-        return RingElem(Poly.zero(self.modulus), self)
+        return RingElem((), self)
 
     def one(self) -> "RingElem":
-        return RingElem(Poly.constant(1, self.modulus), self)
+        return RingElem((1,), self)
 
     def gen_class(self) -> "RingElem":
         """The class of the quotient variable (a constant when n = 1)."""
         if self.n == 1:
             return self.elem([-self.f.coeffs[0]])
-        return RingElem(Poly.x(self.modulus), self)
+        return RingElem((0, 1), self)
 
     def elements(self):
         """All p^(s*n) elements; intended for small brute-force checks."""
@@ -110,14 +109,23 @@ class RingCtx:
 
 @dataclass(frozen=True)
 class RingElem:
-    """An element of GR(p^s, n), represented by a polynomial of degree < n."""
+    """An element of GR(p^s, n), held as a coefficient tuple.
 
-    rep: Poly
+    The tuple is its representative of degree < n, ascending, centered
+    mod p^s and trimmed; zero is ().
+    """
+
+    coeffs: tuple[int, ...]
     ctx: RingCtx
 
     def __post_init__(self):
-        if self.rep.modulus != self.ctx.modulus or self.rep.degree >= self.ctx.n:
+        if len(self.coeffs) > self.ctx.n:
             raise ValueError("representative out of canonical range")
+
+    @property
+    def rep(self) -> Poly:
+        """The representative as a `Poly` over Z/p^sZ, for callers outside the package."""
+        return _wrap(self.coeffs, self.ctx.modulus)
 
     def _same(self, other: "RingElem"):
         if self.ctx != other.ctx:
@@ -125,32 +133,29 @@ class RingElem:
 
     @property
     def is_zero(self) -> bool:
-        return self.rep.is_zero
+        return not self.coeffs
 
     def coeff_vector(self) -> tuple[int, ...]:
-        cs = self.rep.coeffs
-        return cs + (0,) * (self.ctx.n - len(cs))
+        return self.coeffs + (0,) * (self.ctx.n - len(self.coeffs))
 
     def sup_norm(self) -> int:
-        return max((abs(c) for c in self.rep.coeffs), default=0)
+        return max((abs(c) for c in self.coeffs), default=0)
 
     def __add__(self, other):
         self._same(other)
-        return RingElem(self.rep + other.rep, self.ctx)
+        return RingElem(tuple(_raw_add(self.coeffs, other.coeffs, self.ctx.m)), self.ctx)
 
     def __sub__(self, other):
         self._same(other)
-        return RingElem(self.rep - other.rep, self.ctx)
+        return RingElem(tuple(_raw_sub(self.coeffs, other.coeffs, self.ctx.m)), self.ctx)
 
     def __neg__(self):
-        return RingElem(-self.rep, self.ctx)
+        return RingElem(tuple(_raw_sub((), self.coeffs, self.ctx.m)), self.ctx)
 
     def __mul__(self, other):
         self._same(other)
         ctx = self.ctx
-        m = ctx.m
-        cs = _mul_rem(self.rep.coeffs, other.rep.coeffs, ctx._rem_matrix, m)
-        return RingElem(_wrap(cs, ctx.modulus), ctx)
+        return RingElem(tuple(_mul_rem(self.coeffs, other.coeffs, ctx._rem_matrix, ctx.m)), ctx)
 
     def pow(self, e: int) -> "RingElem":
         if e < 0:
@@ -166,7 +171,7 @@ class RingElem:
 
     def reduce_mod_p(self) -> "RingElem":
         """Image under the reduction map onto the residue field."""
-        return RingElem(self.rep.reduce_mod_p(), self.ctx.residue_field)
+        return RingElem(_canon(self.coeffs, self.ctx.p), self.ctx.residue_field)
 
     def is_unit(self) -> bool:
         return not self.reduce_mod_p().is_zero
@@ -182,7 +187,7 @@ class RingElem:
         red = self.reduce_mod_p()
         if red.is_zero:
             raise NotAUnit("element lies in the maximal ideal (p)")
-        z = self.ctx.elem(_fp_inv(red.rep.coeffs, self.ctx.p, self.ctx.fbar.coeffs))
+        z = self.ctx.elem(_fp_inv(red.coeffs, self.ctx.p, self.ctx.fbar.coeffs))
         if self.ctx.s > 1:
             two = self.ctx.elem([2])
             for _ in range((self.ctx.s - 1).bit_length()):
@@ -192,7 +197,8 @@ class RingElem:
         return z
 
     def __repr__(self):
-        return f"{self.rep!r} in GR({self.ctx.modulus!r}, {self.ctx.n})"
+        modulus = self.ctx.modulus
+        return f"{_pretty(self.coeffs)} (mod {modulus!r}) in GR({modulus!r}, {self.ctx.n})"
 
 
 def eval_poly(g: Poly, a: RingElem) -> RingElem:
@@ -208,7 +214,7 @@ def eval_poly(g: Poly, a: RingElem) -> RingElem:
 def _in_ideal(a: RingElem, power: int) -> bool:
     """Membership of a in the ideal (p^power); (p^j) = (0) for j >= s."""
     e = a.ctx.p ** min(power, a.ctx.s)
-    return all(c % e == 0 for c in a.rep.coeffs)
+    return all(c % e == 0 for c in a.coeffs)
 
 
 def hensel_iterates(g: Poly, alpha0: RingElem, ctx: RingCtx) -> list[RingElem]:
@@ -284,8 +290,8 @@ class Isomorphism:
 
 def _image(a: RingElem, rows, ctx: RingCtx) -> RingElem:
     """The element of ctx whose coefficient vector is a's times the packed matrix."""
-    cs = _trim(linalg.vec_mat(a.rep.coeffs, rows, ctx.m))  # centered, degree < n
-    return RingElem(_wrap(cs, ctx.modulus), ctx)
+    cs = _trim(linalg.vec_mat(a.coeffs, rows, ctx.m))  # centered, degree < n
+    return RingElem(tuple(cs), ctx)
 
 
 def _check_params(src: RingCtx, dst: RingCtx):
@@ -334,7 +340,7 @@ def ring_iso_from_field_root(src: RingCtx, dst: RingCtx, root_bar: RingElem) -> 
     _check_params(src, dst)
     if root_bar.ctx != dst.residue_field:
         raise CtxMismatch("root does not live in the destination residue field")
-    alpha = dst.elem(root_bar.rep.coeffs)  # trivial lift, same centered values
+    alpha = dst.elem(root_bar.coeffs)  # trivial lift, same centered values
     phi_x = hensel_lift(src.f, alpha, dst)
     return iso_from_phi_x(src, dst, phi_x)
 

@@ -2,22 +2,25 @@
 
 Coefficients are stored ascending by degree in centered form with
 trailing zeros trimmed; the zero polynomial has an empty coefficient
-tuple and degree -1. Division is only defined for divisors whose
-leading coefficient is a unit, in particular for monic divisors.
-The private `_raw_*` functions (Z/mZ[x]) and `_fp_*` functions
-(F_p[x]/(fbar)) on flat integer lists are the one kernel under `Poly`,
-the residue field, root finding and the composite rings. Bulk products
-are Kronecker-packed: `_pack`/`_unpack` put residues in bit slots wide
-enough that one big-integer multiply replaces the coefficient loops.
-Reduction modulo a fixed monic f is one packed vector-matrix product
-with its reduction matrix (`_rem_matrix`, built once by its owner).
+tuple and degree -1. `_canon` builds that form, reducing modulo a monic
+f on request; it is the one canonicalisation for `Poly`, the ring
+elements of `gring` and `crt`, and the CLI loaders.
+`Poly` plays the defining-polynomial role: f and fbar of a ring
+presentation, their derivative, the irreducibility test and sampling.
+Element arithmetic is the private kernel on flat integer lists, the
+`_raw_*` functions (Z/mZ[x]) and `_fp_*` functions (F_p[x]/(fbar)),
+shared by the rings, the residue field, root finding and the composite
+rings. Bulk products are Kronecker-packed: `_pack`/`_unpack` put
+residues in bit slots wide enough that one big-integer multiply
+replaces the coefficient loops. Reduction modulo a fixed monic f is one
+packed vector-matrix product with its reduction matrix (`_rem_matrix`,
+built once by its owner).
 """
 
 import random
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .errors import ModulusMismatch, NonMonicDivisor
 from .zmod import Modulus, centered, invmod
 
 
@@ -125,6 +128,14 @@ def _raw_rem_monic(a, f, m):
     return _trim([centered(c, m) for c in r[:df]])
 
 
+def _canon(coeffs, m, f=None) -> tuple[int, ...]:
+    """coeffs centered mod m and trimmed, then reduced modulo the monic f when f is given."""
+    cs = _trim([centered(int(c), m) for c in coeffs])
+    if f is not None and len(cs) >= len(f):
+        cs = _raw_rem_monic(cs, f, m)
+    return tuple(cs)
+
+
 def _raw_divmod(a, b, m):
     """Quotient and remainder by b, whose leading coefficient must be a unit."""
     if len(a) < len(b):
@@ -166,66 +177,21 @@ def _fp_pow(a, e, p, fb):
 
 
 class Poly:
-    """A polynomial over Z/p^sZ in canonical form."""
+    """A defining polynomial over Z/p^sZ in canonical form; its arithmetic is the raw kernel."""
 
     __slots__ = ("coeffs", "modulus")
 
     def __init__(self, coeffs: Iterable[int], modulus: Modulus):
-        m = modulus.m
-        self.coeffs = tuple(_trim([centered(int(c), m) for c in coeffs]))
+        self.coeffs = _canon(coeffs, modulus.m)
         self.modulus = modulus
-
-    @classmethod
-    def zero(cls, modulus: Modulus) -> "Poly":
-        return cls((), modulus)
-
-    @classmethod
-    def constant(cls, c: int, modulus: Modulus) -> "Poly":
-        return cls((c,), modulus)
-
-    @classmethod
-    def x(cls, modulus: Modulus) -> "Poly":
-        return cls((0, 1), modulus)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if i < len(self.coeffs) else 0
-
-    def _same(self, other: "Poly"):
-        if self.modulus != other.modulus:
-            raise ModulusMismatch(f"{self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._same(other)
-        return _wrap(_raw_add(self.coeffs, other.coeffs, self.modulus.m), self.modulus)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._same(other)
-        return _wrap(_raw_sub(self.coeffs, other.coeffs, self.modulus.m), self.modulus)
-
-    def __neg__(self) -> "Poly":
-        return _wrap([centered(-c, self.modulus.m) for c in self.coeffs], self.modulus)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._same(other)
-        return _wrap(_raw_mul(self.coeffs, other.coeffs, self.modulus.m), self.modulus)
-
-    def __mod__(self, f: "Poly") -> "Poly":
-        self._same(f)
-        if not f.is_monic or f.degree < 1:
-            raise NonMonicDivisor("reduction requires a monic divisor of degree >= 1")
-        return _wrap(_raw_rem_monic(self.coeffs, f.coeffs, self.modulus.m), self.modulus)
 
     def derivative(self) -> "Poly":
         cs = [centered(i * c, self.modulus.m) for i, c in enumerate(self.coeffs)]

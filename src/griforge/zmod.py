@@ -115,9 +115,6 @@ class Modulus:
         """The prime modulus p^1 of the residue field; self when s = 1."""
         return self if self.s == 1 else Modulus(self.p, 1)
 
-    def reduce(self, x: int) -> int:
-        return centered(x, self.m)
-
     def __repr__(self):
         return f"{self.p}^{self.s}" if self.s > 1 else str(self.p)
 

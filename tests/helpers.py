@@ -267,7 +267,8 @@ def enumerate_shortest(basis):
     """
     r = len(basis)
     mu, nsq = exact_gso(basis)
-    assert all(n > 0 for n in nsq), "basis must be linearly independent"
+    if not all(n > 0 for n in nsq):
+        raise ValueError("basis must be linearly independent")
     best = sum(x * x for x in basis[0])
     best_vec = tuple(basis[0])
     coeff = [0] * r

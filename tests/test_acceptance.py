@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from griforge import (
     CompositeCtx,
-    CompositePoly,
     Modulus,
     Poly,
     RingCtx,
@@ -21,7 +20,6 @@ from griforge import (
     build_ring_iso,
     crt_combine_elems,
     crt_combine_polys,
-    crt_split_elem,
     eval_poly,
     field_iso_from_root,
     find_root,
@@ -245,7 +243,8 @@ def test_criterion_7_distinguisher_calibration():
 def test_criterion_8_crt():
     f1 = Poly([1, 1, 1], Modulus(2, 2))
     f2 = Poly([1, 0, 1], Modulus(3, 2))
-    assert crt_combine_polys([f1, f2]) == CompositePoly((1, 9, 1), 36)
+    assert crt_combine_polys([f1, f2]) == (1, 9, 1)
+    assert CompositeCtx.from_components([RingCtx(f1), RingCtx(f2)]).m == 36
 
     rng = random.Random(8000)
     src = CompositeCtx.from_components(
@@ -262,7 +261,7 @@ def test_criterion_8_crt():
     )
     for _ in range(500):
         a = src.random_elem(rng)
-        assert crt_combine_elems(crt_split_elem(a), src) == a
+        assert crt_combine_elems(a.split(), src) == a
     iso = build_composite_iso(src, dst, rng)
     for _ in range(100):
         a = src.random_elem(rng)

@@ -4,7 +4,6 @@ import pytest
 
 from griforge import (
     CompositeCtx,
-    CompositePoly,
     Modulus,
     Poly,
     RingCtx,
@@ -12,11 +11,10 @@ from griforge import (
     crt_combine_elems,
     crt_combine_polys,
     crt_ints,
-    crt_split_elem,
     is_irreducible_mod_p,
     random_monic_irreducible,
 )
-from griforge.errors import DegreeMismatch, ModuliNotCoprime, ParamMismatch
+from griforge.errors import DegreeMismatch, ModuliNotCoprime, ParamMismatch, ValidationError
 
 F1 = Poly([1, 1, 1], Modulus(2, 2))  # x^2 + x + 1 mod 4
 F2 = Poly([1, 0, 1], Modulus(3, 2))  # x^2 + 1 mod 9
@@ -30,12 +28,14 @@ def _composite(seed, specs=((2, 2), (3, 1)), n=2):
 
 def test_combine_worked_example():
     combined = crt_combine_polys([F1, F2])
-    assert combined == CompositePoly((1, 9, 1), 36)
+    assert combined == (1, 9, 1)
+    assert CompositeCtx.from_components([RingCtx(F1), RingCtx(F2)]).m == 36
 
 
 def test_combine_single_component_identity():
     combined = crt_combine_polys([F1])
-    assert combined == CompositePoly(F1.coeffs, 4)
+    assert combined == F1.coeffs
+    assert CompositeCtx.from_components([RingCtx(F1)]).m == 4
 
 
 def test_combine_not_coprime():
@@ -60,14 +60,14 @@ def test_split_combine_identity_500():
     ctx, rng = _composite(1)
     for _ in range(500):
         a = ctx.random_elem(rng)
-        parts = crt_split_elem(a)
+        parts = a.split()
         assert crt_combine_elems(parts, ctx) == a
 
 
 def test_split_of_cofactor_multiple():
     ctx = CompositeCtx.from_components([RingCtx(F1), RingCtx(F2)])
     a = ctx.elem([9])  # m/p1^s1 * unit with m = 36
-    mod4, mod9 = crt_split_elem(a)
+    mod4, mod9 = a.split()
     assert mod4 == RingCtx(F1).one()  # 9 = 1 mod 4
     assert mod9.is_zero  # 9 = 0 mod 9
     assert ctx.elem([1]).split() == (RingCtx(F1).one(), RingCtx(F2).one())
@@ -82,13 +82,19 @@ def test_composite_ctx_validations():
         CompositeCtx.from_components(
             [RingCtx(F1), RingCtx(Poly([1, 2, 0, 1], Modulus(3, 2)))]
         )
+    comps = (RingCtx(F1), RingCtx(F2))
+    assert CompositeCtx(comps, (1, 9, 1)).m == 36
+    # f must be the centered, monic degree-n combination of the components
+    for f in [(37, 9, 1), (1, 9, 1, 0), (1, 9, 37), (1, 9), (1, 10, 1)]:
+        with pytest.raises(ValidationError):
+            CompositeCtx(comps, f)
 
 
 def test_composite_combined_poly_cross_check():
     ctx = CompositeCtx.from_components([RingCtx(F1), RingCtx(F2)])
     for comp in ctx.components:
-        assert ctx.f.reduce_mod(comp.m) == comp.f.coeffs
-        assert is_irreducible_mod_p(Poly(ctx.f.reduce_mod(comp.m), comp.modulus))
+        assert Poly(ctx.f, comp.modulus).coeffs == comp.f.coeffs
+        assert is_irreducible_mod_p(Poly(ctx.f, comp.modulus))
 
 
 def test_composite_iso_identity_components():

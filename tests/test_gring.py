@@ -3,6 +3,7 @@ import random
 import pytest
 
 from griforge import (
+    CompositeCtx,
     Modulus,
     Poly,
     RingCtx,
@@ -27,7 +28,7 @@ from griforge.errors import (
 )
 from griforge.linalg import pack_rows, vec_mat
 from griforge.zmod import MAX_MODULUS_BITS, centered
-from helpers import hensel_all_steps, mat_mul, ring_horner
+from helpers import hensel_all_steps, mat_mul, ring_horner, schoolbook_rem
 
 M4 = Modulus(2, 2)
 R16 = RingCtx(Poly([1, 1, 1], M4))  # Z_4[y]/(y^2+y+1)
@@ -58,6 +59,24 @@ def test_inv_random_many_s():
                 continue
             assert a * a.inv() == ctx.one()
             checked += 1
+
+
+def test_elem_canonical_form_matches_oracle():
+    # ctx.elem centers, trims and reduces mod f; so must the composite ctx.elem.
+    rng = random.Random(14)
+    cases = []
+    for p, s, n in [(2, 8, 6), (3, 4, 12), (251, 1, 4)]:
+        ctx = RingCtx(random_monic_irreducible(Modulus(p, s), n, rng))
+        cases.append((ctx, ctx.f.coeffs))
+    comp = CompositeCtx.from_components([R16, RingCtx(Poly([1, 0, 1], Modulus(3, 2)))])
+    cases.append((comp, comp.f))
+    for ctx, f in cases:
+        m, n = ctx.m, ctx.n
+        for length in (0, 1, n, 2 * n - 1, 3 * n):
+            a = [rng.randrange(-2 * m, 3 * m) for _ in range(length)]
+            for tail in range(min(length, 3) + 1):  # the last `tail` entries are multiples of m
+                b = a[: length - tail] + [m * rng.randrange(-2, 3) for _ in range(tail)]
+                assert ctx.elem(b).coeffs == schoolbook_rem(b, f, m), (m, n, length, tail)
 
 
 def test_reduce_elem_examples():

@@ -1,0 +1,23 @@
+"""Package-wide invariants checked on the source text."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "griforge"
+
+
+def test_no_runtime_dependencies():
+    # griforge imports only its own modules and the standard library.
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            for root in roots:
+                assert root in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {root}"

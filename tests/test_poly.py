@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from griforge import Modulus, Poly, is_irreducible_mod_p, random_monic_irreducible
+from griforge import Modulus, Poly, RingCtx, eval_poly, is_irreducible_mod_p
+from griforge import random_monic_irreducible
 from griforge.cli import _ints_text, _parse_ints
-from griforge.errors import ModulusMismatch, NonMonicDivisor
+from griforge.errors import ModulusMismatch
 from griforge.ffield import _tmul
-from griforge.poly import _mul_rem, _pack, _raw_mul, _rem_matrix, _rem_slots
+from griforge.poly import _mul_rem, _pack, _raw_add, _raw_mul, _raw_rem_monic, _rem_matrix
+from griforge.poly import _rem_slots
 from griforge.zmod import MAX_MODULUS_BITS
 from helpers import exhaustive_irreducible, schoolbook_mul, schoolbook_rem
 
@@ -15,10 +17,23 @@ M8 = Modulus(2, 3)
 M9 = Modulus(3, 2)
 
 
+# Kernel arithmetic on the coefficients of canonical polynomials.
+def _add(a: Poly, b: Poly) -> Poly:
+    return Poly(_raw_add(a.coeffs, b.coeffs, a.modulus.m), a.modulus)
+
+
+def _mul(a: Poly, b: Poly) -> Poly:
+    return Poly(_raw_mul(a.coeffs, b.coeffs, a.modulus.m), a.modulus)
+
+
+def _rem(a: Poly, f: Poly) -> Poly:
+    return Poly(_raw_rem_monic(a.coeffs, f.coeffs, a.modulus.m), a.modulus)
+
+
 def test_mul_examples():
-    assert Poly([1, 1], M4) * Poly([1, 1], M4) == Poly([1, 2, 1], M4)
-    assert Poly([3, 0, 1], M8) + Poly([1, 0, -1], M8) == Poly([4], M8)
-    assert Poly.zero(M9) * Poly([0, 0, 0, 0, 0, 1], M9) == Poly.zero(M9)
+    assert _mul(Poly([1, 1], M4), Poly([1, 1], M4)) == Poly([1, 2, 1], M4)
+    assert _add(Poly([3, 0, 1], M8), Poly([1, 0, -1], M8)) == Poly([4], M8)
+    assert _mul(Poly([], M9), Poly([0, 0, 0, 0, 0, 1], M9)) == Poly([], M9)
 
 
 def test_mul_matches_schoolbook_oracle():
@@ -27,7 +42,7 @@ def test_mul_matches_schoolbook_oracle():
         m = Modulus(rng.choice([2, 3, 5]), rng.randrange(1, 4))
         a = [rng.randrange(m.m) for _ in range(rng.randrange(0, 80))]
         b = [rng.randrange(m.m) for _ in range(rng.randrange(0, 80))]
-        got = Poly(a, m) * Poly(b, m)
+        got = _mul(Poly(a, m), Poly(b, m))
         assert got.coeffs == schoolbook_mul(a, b, m.m)
 
 
@@ -101,9 +116,9 @@ def test_packed_tmul_matches_per_coefficient_oracle(p, n):
 
 def test_rem_examples():
     f = Poly([1, 1, 1], M8)
-    assert Poly([0, 0, 1], M8) % f == Poly([-1, -1], M8)
-    assert Poly([0, 1], M8) % f == Poly([0, 1], M8)
-    assert f % f == Poly.zero(M8)
+    assert _rem(Poly([0, 0, 1], M8), f) == Poly([-1, -1], M8)
+    assert _rem(Poly([0, 1], M8), f) == Poly([0, 1], M8)
+    assert _rem(f, f) == Poly([], M8)
 
 
 def test_rem_matches_schoolbook_oracle():
@@ -112,23 +127,18 @@ def test_rem_matches_schoolbook_oracle():
         m = Modulus(rng.choice([2, 3, 7]), rng.randrange(1, 4))
         f = Poly([rng.randrange(m.m) for _ in range(rng.randrange(1, 6))] + [1], m)
         a = Poly([rng.randrange(m.m) for _ in range(rng.randrange(0, 12))], m)
-        assert (a % f).coeffs == schoolbook_rem(a.coeffs, f.coeffs, m.m)
-
-
-def test_rem_requires_monic():
-    with pytest.raises(NonMonicDivisor):
-        Poly([0, 0, 1], M4) % Poly([1, 2], M4)
+        assert _rem(a, f).coeffs == schoolbook_rem(a.coeffs, f.coeffs, m.m)
 
 
 def test_modulus_mismatch():
     with pytest.raises(ModulusMismatch):
-        Poly([1], M4) + Poly([1], M9)
+        eval_poly(Poly([1], M9), RingCtx(Poly([1, 1, 1], M4)).one())
 
 
 def test_derivative_examples():
     assert Poly([1, 1, 1], M4).derivative() == Poly([1, 2], M4)
-    assert Poly([5], M8).derivative() == Poly.zero(M8)
-    assert Poly([0, 0, 0, 0, 1], M4).derivative() == Poly.zero(M4)  # 4x^3 = 0 mod 4
+    assert Poly([5], M8).derivative() == Poly([], M8)
+    assert Poly([0, 0, 0, 0, 1], M4).derivative() == Poly([], M4)  # 4x^3 = 0 mod 4
 
 
 def test_derivative_product_rule():
@@ -137,14 +147,14 @@ def test_derivative_product_rule():
         m = Modulus(rng.choice([2, 3, 5]), rng.randrange(1, 4))
         f = Poly([rng.randrange(m.m) for _ in range(rng.randrange(0, 7))], m)
         g = Poly([rng.randrange(m.m) for _ in range(rng.randrange(0, 7))], m)
-        assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+        assert _mul(f, g).derivative() == _add(_mul(f.derivative(), g), _mul(f, g.derivative()))
 
 
 def test_reduce_mod_p_examples():
     m2 = Modulus(2, 1)
     assert Poly([1, 5, 1], M8).reduce_mod_p() == Poly([1, 1, 1], m2)
     assert Poly([1, 1, 1], m2).reduce_mod_p() == Poly([1, 1, 1], m2)
-    assert Poly([2, 4], M8).reduce_mod_p() == Poly.zero(m2)
+    assert Poly([2, 4], M8).reduce_mod_p() == Poly([], m2)
 
 
 def test_reduce_mod_p_is_homomorphism():
@@ -153,8 +163,8 @@ def test_reduce_mod_p_is_homomorphism():
         m = Modulus(rng.choice([2, 5]), rng.randrange(2, 4))
         a = Poly([rng.randrange(m.m) for _ in range(rng.randrange(0, 7))], m)
         b = Poly([rng.randrange(m.m) for _ in range(rng.randrange(0, 7))], m)
-        assert (a + b).reduce_mod_p() == a.reduce_mod_p() + b.reduce_mod_p()
-        assert (a * b).reduce_mod_p() == a.reduce_mod_p() * b.reduce_mod_p()
+        assert _add(a, b).reduce_mod_p() == _add(a.reduce_mod_p(), b.reduce_mod_p())
+        assert _mul(a, b).reduce_mod_p() == _mul(a.reduce_mod_p(), b.reduce_mod_p())
 
 
 def test_irreducibility_examples():
@@ -215,7 +225,7 @@ def test_rem_mul_compatible():
     for _ in range(100):
         a = Poly([rng.randrange(m.m) for _ in range(6)], m)
         b = Poly([rng.randrange(m.m) for _ in range(6)], m)
-        assert (a * b) % f == ((a % f) * (b % f)) % f
+        assert _rem(_mul(a, b), f) == _rem(_mul(_rem(a, f), _rem(b, f)), f)
 
 
 def test_text_roundtrip():
@@ -223,8 +233,8 @@ def test_text_roundtrip():
     f = Poly([-3, 1, 0, 2], M8)
     assert _ints_text(f.coeffs) == "-3,1,0,2"
     assert Poly(_parse_ints(_ints_text(f.coeffs)), M8) == f
-    assert _ints_text(Poly.zero(M8).coeffs) == "0"
-    assert Poly(_parse_ints("0"), M8) == Poly.zero(M8)
+    assert _ints_text(Poly([], M8).coeffs) == "0"
+    assert Poly(_parse_ints("0"), M8) == Poly([], M8)
     assert Poly(_parse_ints("5,-7"), M8) == Poly([-3, 1], M8)  # re-centered mod 8
     row = (0, -12, 0, 255, -1)  # an attack-report basis row keeps its zeros
     assert _ints_text(row) == "0,-12,0,255,-1"
