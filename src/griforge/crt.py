@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DegreeMismatch, ModuliNotCoprime, ParamMismatch, ValidationError
 from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso
-from .poly import Poly, _canon, _raw_add, _raw_mul, _raw_sub
+from .poly import Poly, _canon, _mul_rem, _raw_add, _raw_sub, _rem_matrix
 from .zmod import centered, xgcd
 
 
@@ -91,6 +91,10 @@ class CompositeCtx:
     def n(self) -> int:
         return self.components[0].n
 
+    @cached_property
+    def _rem_matrix(self) -> tuple[int, int, tuple[int, ...]]:
+        return _rem_matrix(self.f, self.m)
+
     def elem(self, coeffs) -> "CompositeElem":
         return CompositeElem(_canon(coeffs, self.m, self.f), self)
 
@@ -115,15 +119,16 @@ class CompositeElem:
 
     def __add__(self, other):
         self._same(other)
-        return self.ctx.elem(_raw_add(self.coeffs, other.coeffs, self.ctx.m))
+        return CompositeElem(tuple(_raw_add(self.coeffs, other.coeffs, self.ctx.m)), self.ctx)
 
     def __sub__(self, other):
         self._same(other)
-        return self.ctx.elem(_raw_sub(self.coeffs, other.coeffs, self.ctx.m))
+        return CompositeElem(tuple(_raw_sub(self.coeffs, other.coeffs, self.ctx.m)), self.ctx)
 
     def __mul__(self, other):
         self._same(other)
-        return self.ctx.elem(_raw_mul(self.coeffs, other.coeffs, self.ctx.m))
+        ctx = self.ctx
+        return CompositeElem(tuple(_mul_rem(self.coeffs, other.coeffs, ctx._rem_matrix, ctx.m)), ctx)
 
     def split(self) -> tuple[RingElem, ...]:
         """Component elements by coefficient-wise reduction."""

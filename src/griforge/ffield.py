@@ -21,8 +21,8 @@ import random
 from itertools import zip_longest
 
 from .errors import CtxMismatch, InvariantBreach, NoRoot
-from .poly import Poly, _fp_inv, _pack, _raw_add, _raw_sub, _rem_slots, _trim, _width
-from .poly import is_irreducible_mod_p
+from .poly import Poly, _fp_inv, _pack, _power, _raw_add, _raw_sub, _rem_slots, _trim
+from .poly import _width, is_irreducible_mod_p
 
 
 def _tmul(u, v, p, red):
@@ -103,16 +103,6 @@ def _trem(u, h, hinv, p, red):
     return _trim([_raw_sub(a, b, p) for a, b in zip_longest(u[:dh], qh[:dh], fillvalue=[])])
 
 
-def _tpowmod(u, e, h, hinv, p, red):
-    """u^e modulo the monic h, e >= 1, by left-to-right square and multiply; u is reduced."""
-    result = u
-    for bit in bin(e)[3:]:
-        result = _trem(_tmul(result, result, p, red), h, hinv, p, red)
-        if bit == "1":
-            result = _trem(_tmul(result, u, p, red), h, hinv, p, red)
-    return result
-
-
 def find_root(g: Poly, field, rng: random.Random):
     """A root in `field` of a monic irreducible g with deg g = field.n.
 
@@ -146,7 +136,8 @@ def find_root(g: Poly, field, rng: random.Random):
                 u = _trem(_tmul(u, u, p, red), h, hinv, p, red)
                 w = _trim([_raw_add(a, b, p) for a, b in zip_longest(w, u, fillvalue=[])])
         else:
-            w = _tpowmod([delta, [1]], (q - 1) // 2, h, hinv, p, red)
+            w = _power([delta, [1]], (q - 1) // 2,
+                       lambda a, b: _trem(_tmul(a, b, p, red), h, hinv, p, red))
             w = _trim([_raw_sub(a, b, p) for a, b in zip_longest(w, [[1]], fillvalue=[])])
         d = _tgcd(h, w, p, fb, red)
         if 1 < len(d) < len(h):

@@ -10,6 +10,7 @@ its arithmetic calls the raw kernel of `poly` directly; the `Poly` f
 only defines the ring.
 """
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,8 +29,8 @@ from .errors import (
     ParamMismatch,
 )
 from .ffield import find_root
-from .poly import Poly, _canon, _fp_inv, _mul_rem, _pretty, _raw_add, _raw_sub, _rem_matrix
-from .poly import _trim, _wrap, is_irreducible_mod_p
+from .poly import Poly, _canon, _fp_inv, _mul_rem, _power, _pretty, _raw_add, _raw_sub
+from .poly import _rem_matrix, _trim, _wrap, is_irreducible_mod_p
 from .zmod import Modulus
 
 
@@ -160,14 +161,7 @@ class RingElem:
     def pow(self, e: int) -> "RingElem":
         if e < 0:
             return self.inv().pow(-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, operator.mul) if e else self.ctx.one()
 
     def reduce_mod_p(self) -> "RingElem":
         """Image under the reduction map onto the residue field."""

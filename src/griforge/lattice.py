@@ -299,8 +299,14 @@ def run_attack(
     det = 1
     for i, row in enumerate(basis):
         det *= row[i]
-    gh = math.sqrt(k / (2 * math.pi * math.e)) * math.exp(math.log(det) / k)
-    bound_sq = (gh_factor * gh) ** 2
+    try:  # past about 2^1024 the heuristic or its square leaves the float range
+        gh = math.sqrt(k / (2 * math.pi * math.e)) * math.exp(math.log(det) / k)
+    except OverflowError:
+        gh = math.inf
+    try:
+        bound_sq = (gh_factor * gh) ** 2
+    except OverflowError:
+        bound_sq = math.inf
     raw = extract_short_vectors(reduced, params.beta, norm_bound_sq=bound_sq)
     candidates = []
     for cand in raw:

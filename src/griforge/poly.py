@@ -7,14 +7,15 @@ f on request; it is the one canonicalisation for `Poly`, the ring
 elements of `gring` and `crt`, and the CLI loaders.
 `Poly` plays the defining-polynomial role: f and fbar of a ring
 presentation, their derivative, the irreducibility test and sampling.
-Element arithmetic is the private kernel on flat integer lists, the
-`_raw_*` functions (Z/mZ[x]) and `_fp_*` functions (F_p[x]/(fbar)),
-shared by the rings, the residue field, root finding and the composite
-rings. Bulk products are Kronecker-packed: `_pack`/`_unpack` put
-residues in bit slots wide enough that one big-integer multiply
-replaces the coefficient loops. Reduction modulo a fixed monic f is one
-packed vector-matrix product with its reduction matrix (`_rem_matrix`,
-built once by its owner).
+Element arithmetic is the private kernel on flat integer lists, shared
+by the rings, the residue field, root finding and the composite rings.
+Bulk products are Kronecker-packed: `_pack`/`_unpack` put residues in
+bit slots wide enough that one big-integer multiply replaces the
+coefficient loops. Every product modulo a fixed monic f is `_mul_rem`,
+a packed product reduced by one packed vector-matrix product with the
+reduction matrix of f (`_rem_matrix`, built once by its owner), and
+every power is `_power` over such a product. `_raw_divmod` is the one
+long division.
 """
 
 import random
@@ -83,13 +84,13 @@ def _rem_matrix(f, m):
     """
     n = len(f) - 1
     w = ((n - 1) * (m - 1) ** 2 + m - 1).bit_length()
-    rows = [[0] * k + [1] for k in range(n)]
-    r = rows[-1]
+    rows = [1 << (k * w) for k in range(n)]
+    r = [0] * (n - 1) + [1]
     for _ in range(n - 1):
         c = r[-1]  # x * r = c * x^n + lower, and x^n = -(f - x^n)
         r = [(x - c * y) % m for x, y in zip([0] + r[:-1], f)]
-        rows.append(r)
-    return n, w, tuple(_pack(r, w, m) for r in rows)
+        rows.append(_pack(r, w, m))
+    return n, w, tuple(rows)
 
 
 def _rem_slots(x, w, red, m):
@@ -116,23 +117,21 @@ def _mul_rem(a, b, red, m):
     return _rem_slots(pa * (pa if b is a else _pack(b, w, m)), w, red, m)
 
 
-def _raw_rem_monic(a, f, m):
-    """Remainder of a modulo the monic polynomial f (len f >= 2)."""
-    df = len(f) - 1
-    r = list(a)
-    for i in range(len(r) - 1, df - 1, -1):
-        c = centered(r[i], m)
-        if c:
-            for j in range(df):
-                r[i - df + j] -= c * f[j]
-    return _trim([centered(c, m) for c in r[:df]])
+def _power(a, e, mul):
+    """a^e for e >= 1 by left-to-right square and multiply, where mul is the product."""
+    result = a
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
+    return result
 
 
 def _canon(coeffs, m, f=None) -> tuple[int, ...]:
     """coeffs centered mod m and trimmed, then reduced modulo the monic f when f is given."""
     cs = _trim([centered(int(c), m) for c in coeffs])
     if f is not None and len(cs) >= len(f):
-        cs = _raw_rem_monic(cs, f, m)
+        cs = _raw_divmod(cs, f, m)[1]
     return tuple(cs)
 
 
@@ -152,11 +151,6 @@ def _raw_divmod(a, b, m):
     return _trim(q), _trim([centered(c, m) for c in r[: len(b) - 1]])
 
 
-def _fp_mul(a, b, p, fb):
-    """Product in F_p[x]/(fb) of two reduced elements; fb is monic."""
-    return _raw_rem_monic(_raw_mul(a, b, p), fb, p)
-
-
 def _fp_inv(a, p, fb):
     """Inverse of a nonzero element of the field F_p[x]/(fb), by extended Euclid against fb."""
     r0, r1, u0, u1 = fb, a, [], [1]
@@ -164,16 +158,6 @@ def _fp_inv(a, p, fb):
         q, r = _raw_divmod(r0, r1, p)
         r0, r1, u0, u1 = r1, r, u1, _raw_sub(u0, _raw_mul(q, u1, p), p)
     return _raw_mul(u0, [invmod(r0[0], p)], p)
-
-
-def _fp_pow(a, e, p, fb):
-    """a^e in F_p[x]/(fb), e >= 1, by left-to-right square and multiply."""
-    result = a
-    for bit in bin(e)[3:]:
-        result = _fp_mul(result, result, p, fb)
-        if bit == "1":
-            result = _fp_mul(result, a, p, fb)
-    return result
 
 
 class Poly:
@@ -269,11 +253,12 @@ def is_irreducible_mod_p(f: Poly) -> bool:
     if n == 1:
         return True
     fb = [centered(c, p) for c in f.coeffs]
+    red = _rem_matrix(fb, p)
     x = [0, 1]
     checks = {n // q for q in _prime_divisors(n)}
     h = x  # x^(p^j) mod fbar after step j
     for j in range(1, n + 1):
-        h = _fp_pow(h, p, p, fb)
+        h = _power(h, p, lambda a, b: _mul_rem(a, b, red, p))
         if j in checks:
             a, b = fb, _raw_sub(h, x, p)
             while b:

@@ -50,6 +50,42 @@ def exhaustive_irreducible(f: Poly) -> bool:
     return True
 
 
+def frobenius_irreducible(f: Poly) -> bool:
+    """The splitting-field criterion on schoolbook products and remainders.
+
+    fbar of degree n is irreducible over F_p iff x^(p^n) = x mod fbar and
+    gcd(x^(p^(n/q)) - x, fbar) = 1 for every prime q dividing n.
+    """
+    fbar = f.reduce_mod_p()
+    p, n = fbar.modulus.p, fbar.degree
+    if n == 1:
+        return True
+    fb = fbar.coeffs
+
+    def power(a, e):  # right to left, reducing after every product
+        result = (1,)
+        while e:
+            if e & 1:
+                result = schoolbook_rem(schoolbook_mul(result, a, p), fb, p)
+            a = schoolbook_rem(schoolbook_mul(a, a, p), fb, p)
+            e >>= 1
+        return result
+
+    checks = {n // q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))}
+    x = (0, 1)
+    h = x
+    for j in range(1, n + 1):
+        h = power(h, p)
+        if j in checks:
+            a, b = fb, schoolbook_rem([c - (i == 1) for i, c in enumerate(h + (0, 0))], fb, p)
+            while b:  # gcd, dividing by b made monic
+                inv = pow(b[-1], -1, p)
+                a, b = b, schoolbook_rem(a, [c * inv for c in b], p)
+            if len(a) != 1:
+                return False
+    return h == x
+
+
 def field_roots(g: Poly, field):
     """All roots of g in the field, by exhaustive evaluation."""
     return [a for a in field.elements() if eval_poly(g, a).is_zero]

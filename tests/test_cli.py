@@ -348,6 +348,28 @@ def test_oversized_modulus_rejected_quickly(tmp_path, capsys, case):
     assert bound in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s", ["1100", "4000"])
+def test_attack_past_float_range(tmp_path, capsys, s):
+    # the Gaussian heuristic or its square leaves the float range: the report records inf
+    params = _gen(tmp_path, p=2, s=s, n=2, seed=1, extra=("--beta", "1", "--k", "4"))
+    iso_file, pub_file, report_file = (tmp_path / name for name in ("i.txt", "pub.txt", "r.txt"))
+    assert _run("make-iso", "--in", str(params), "--seed", "1", "--out", str(iso_file)) == 0
+    assert _run("sample", "--in", str(iso_file), "--public-only", "--seed", "1",
+                "--out", str(pub_file)) == 0
+    assert _run("attack", "--in", str(pub_file), "--out", str(report_file)) == 0
+    text = report_file.read_text()
+    assert ("gaussian_heuristic: inf\n" in text) == (s == "4000")
+    assert "shortness_ratio: " in text
+
+
+def test_gen_params_at_the_cost_bound_finishes(tmp_path):
+    # n * bits(p) = 256 is the largest accepted; rejection sampling runs about n
+    # irreducibility tests of n * bits(p) products each
+    start = time.perf_counter()
+    _gen(tmp_path, p=13, s=1, n=64, seed=1)
+    assert time.perf_counter() - start < 10.0
+
+
 def test_sample_requires_iso(tmp_path, capsys):
     params = _gen(tmp_path)
     code = _run("sample", "--in", str(params), "--beta", "1", "--k", "2",

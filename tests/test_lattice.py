@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -244,3 +245,17 @@ def test_run_attack_rejects_bad_gh_factor(gh_factor):
     inst = gen_instance(2, 4, 2, 1, 4, random.Random(11))
     with pytest.raises(ValueError, match="gh_factor"):
         run_attack(inst.public_only(), gh_factor=gh_factor)
+
+
+@pytest.mark.parametrize("s", [1100, 4000])
+def test_run_attack_past_float_range(s):
+    # p^s past 2^1024: at s = 1100 the square of the Gaussian heuristic leaves
+    # the float range, at s = 4000 the heuristic itself; either bound is inf.
+    inst = gen_instance(2, s, 2, 1, 4, random.Random(1))
+    report = run_attack(inst.public_only())
+    gh = report.gaussian_heuristic
+    if s == 1100:
+        assert math.isfinite(gh) and report.shortness_ratio == math.sqrt(4) / gh
+    else:
+        assert gh == math.inf and report.shortness_ratio == 0.0
+    assert report.full_recovery and report.candidates

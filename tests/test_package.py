@@ -21,3 +21,10 @@ def test_no_runtime_dependencies():
                 continue
             for root in roots:
                 assert root in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {root}"
+
+
+def test_no_bare_asserts():
+    # python -O strips assert statements; invariants raise InvariantBreach instead.
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"

@@ -7,10 +7,9 @@ from griforge import random_monic_irreducible
 from griforge.cli import _ints_text, _parse_ints
 from griforge.errors import ModulusMismatch
 from griforge.ffield import _tmul
-from griforge.poly import _mul_rem, _pack, _raw_add, _raw_mul, _raw_rem_monic, _rem_matrix
-from griforge.poly import _rem_slots
+from griforge.poly import _canon, _mul_rem, _pack, _raw_add, _raw_mul, _rem_matrix, _rem_slots
 from griforge.zmod import MAX_MODULUS_BITS
-from helpers import exhaustive_irreducible, schoolbook_mul, schoolbook_rem
+from helpers import exhaustive_irreducible, frobenius_irreducible, schoolbook_mul, schoolbook_rem
 
 M4 = Modulus(2, 2)
 M8 = Modulus(2, 3)
@@ -27,7 +26,7 @@ def _mul(a: Poly, b: Poly) -> Poly:
 
 
 def _rem(a: Poly, f: Poly) -> Poly:
-    return Poly(_raw_rem_monic(a.coeffs, f.coeffs, a.modulus.m), a.modulus)
+    return Poly(_canon(a.coeffs, a.modulus.m, f.coeffs), a.modulus)
 
 
 def test_mul_examples():
@@ -66,8 +65,10 @@ def test_packed_mul_matches_schoolbook_oracle(m):
     assert tuple(_raw_mul(a, a, m)) == schoolbook_mul(a, a, m)  # squaring packs once
 
 
-@pytest.mark.parametrize("m", [2, 2**32, 65537**3, Modulus(2, MAX_MODULUS_BITS).m],
-                         ids=["2", "2^32", "65537^3", "2^4096"])
+@pytest.mark.parametrize(
+    "m", [2, 36, 2**32, 65537**3, 2**32 * 3**20, Modulus(2, MAX_MODULUS_BITS).m],
+    ids=["2", "36", "2^32", "65537^3", "2^32*3^20", "2^4096"],
+)
 def test_packed_rem_matrix_matches_schoolbook_rem(m):
     rng = random.Random(m % 1009)
     w = (m - 1).bit_length()  # input slots hold residues only
@@ -189,6 +190,21 @@ def test_irreducibility_against_exhaustive_oracle():
         for _ in range(6):
             f = Poly([rng.randrange(p) for _ in range(n)] + [1], m)
             assert is_irreducible_mod_p(f) == exhaustive_irreducible(f)
+
+
+@pytest.mark.parametrize(
+    "p,n,count", [(2, 24, 40), (3, 12, 40), (13, 16, 30), (251, 6, 40), (7, 64, 3)]
+)
+def test_irreducibility_against_frobenius_oracle(p, n, count):
+    # past the exhaustive oracle's reach; one sampled irreducible per cell
+    # makes sure both verdicts occur
+    rng = random.Random(p * 1000 + n)
+    m = Modulus(p, 1)
+    polys = [Poly([rng.randrange(p) for _ in range(n)] + [1], m) for _ in range(count)]
+    polys.append(random_monic_irreducible(m, n, rng))
+    verdicts = [is_irreducible_mod_p(f) for f in polys]
+    assert verdicts == [frobenius_irreducible(f) for f in polys]
+    assert True in verdicts and False in verdicts
 
 
 def test_irreducibility_lifted_agrees_with_reduction():
