@@ -47,7 +47,8 @@ SEED_ENV = "GRIFORGE_SEED"
 MAX_N = 64
 MAX_K = 256
 MAX_TRIALS = 100_000
-MAX_N_BITS = 256  # bound on n * p.bit_length(): an irreducibility test costs ~n*log2(p) products
+# bound on n * p.bit_length(): an irreducibility test costs <= n/2 * log2(p) products, n/2 gcds
+MAX_N_BITS = 256
 
 
 # ---------------------------------------------------------------------------

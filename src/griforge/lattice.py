@@ -269,6 +269,14 @@ class AttackReport:
     elapsed: float
 
 
+def _or_inf(value):
+    """value(), or inf where it leaves the float range (p^s or beta past about 2^1024)."""
+    try:
+        return value()
+    except OverflowError:
+        return math.inf
+
+
 def run_attack(
     instance: GriInstance,
     delta=DEFAULT_DELTA,
@@ -299,25 +307,18 @@ def run_attack(
     det = 1
     for i, row in enumerate(basis):
         det *= row[i]
-    try:  # past about 2^1024 the heuristic or its square leaves the float range
-        gh = math.sqrt(k / (2 * math.pi * math.e)) * math.exp(math.log(det) / k)
-    except OverflowError:
-        gh = math.inf
-    try:
-        bound_sq = (gh_factor * gh) ** 2
-    except OverflowError:
-        bound_sq = math.inf
+    gh = _or_inf(lambda: math.sqrt(k / (2 * math.pi * math.e)) * math.exp(math.log(det) / k))
+    bound_sq = _or_inf(lambda: (gh_factor * gh) ** 2)
     raw = extract_short_vectors(reduced, params.beta, norm_bound_sq=bound_sq)
     candidates = []
     for cand in raw:
         coords = solve_in_basis(cand.vector, basis)
         if coords is None:  # reduced rows generate the same lattice
             raise InvariantBreach("reduced-basis vector is not in the attack lattice")
-        weights = [
-            sum(coords[i] * transform[i][j] for i in range(len(coords)))
-            for j in range(len(d_rows))
-        ]
-        combo = tuple(centered(w, m) for w in weights[:n])
+        combo = tuple(
+            centered(sum(coords[i] * transform[i][j] for i in range(len(coords))), m)
+            for j in range(n)
+        )
         candidates.append(replace(cand, combo=combo))
     rank = _rank_mod_p([c.combo for c in candidates], params.p) if candidates else 0
     return AttackReport(
@@ -331,7 +332,7 @@ def run_attack(
         basis=tuple(tuple(r) for r in reduced),
         candidates=tuple(candidates),
         gaussian_heuristic=gh,
-        shortness_ratio=params.beta * math.sqrt(k) / gh,
+        shortness_ratio=_or_inf(lambda: params.beta * math.sqrt(k) / gh),
         recovery_rank=rank,
         full_recovery=rank == n,
         elapsed=time.perf_counter() - start,
@@ -345,7 +346,7 @@ def render_report(report: AttackReport) -> str:
         f"parameters: p={report.p} s={report.s} n={report.n} "
         f"k={report.k} beta={report.beta} delta={report.delta}",
         f"gaussian heuristic: {report.gaussian_heuristic:.3f} "
-        f"(target length {report.beta * math.sqrt(report.k):.3f}, "
+        f"(target length {_or_inf(lambda: report.beta * math.sqrt(report.k)):.3f}, "
         f"ratio {report.shortness_ratio:.3f})",
         f"candidates within bounds: {len(report.candidates)}",
     ]

@@ -226,46 +226,30 @@ def _pretty(coeffs: Sequence[int], var: str = "x") -> str:
     return " ".join(terms)
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible_mod_p(f: Poly) -> bool:
     """Whether the reduction of f modulo p is irreducible over F_p.
 
-    Uses the splitting-field criterion: f of degree n is irreducible
-    iff x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1 for every
-    prime q dividing n.
+    Ben-Or's test (1981): x^(p^d) - x is the product of the monic
+    irreducibles of degree dividing d, and a reducible fbar of degree n
+    has an irreducible factor of degree d <= n/2. So fbar is irreducible
+    iff gcd(x^(p^d) - x, fbar) = 1 for every d <= n/2; the loop stops at
+    the first d that finds a factor.
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("irreducibility test requires a monic polynomial of degree >= 1")
     p, n = f.modulus.p, f.degree
-    if n == 1:
-        return True
     fb = [centered(c, p) for c in f.coeffs]
     red = _rem_matrix(fb, p)
     x = [0, 1]
-    checks = {n // q for q in _prime_divisors(n)}
-    h = x  # x^(p^j) mod fbar after step j
-    for j in range(1, n + 1):
+    h = x  # x^(p^d) mod fbar after step d
+    for _ in range(n // 2):
         h = _power(h, p, lambda a, b: _mul_rem(a, b, red, p))
-        if j in checks:
-            a, b = fb, _raw_sub(h, x, p)
-            while b:
-                a, b = b, _raw_divmod(a, b, p)[1]
-            if len(a) != 1:
-                return False
-    return h == x
+        a, b = fb, _raw_sub(h, x, p)
+        while b:
+            a, b = b, _raw_divmod(a, b, p)[1]
+        if len(a) != 1:
+            return False
+    return True
 
 
 def random_monic_irreducible(modulus: Modulus, n: int, rng: random.Random) -> Poly:

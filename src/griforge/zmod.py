@@ -13,7 +13,6 @@ from functools import cached_property
 # the least strong pseudoprime to all of them (about 3.3 * 10^24).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3317044064679887385961981
-_TRIAL_BOUND = 1_000_000
 # Cap on s * (bit length of p - 1), a lower bound on log2(p^s), so an
 # oversized modulus is refused before p^s is ever computed.
 MAX_MODULUS_BITS = 4096
@@ -32,13 +31,6 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return False
-    if n < _TRIAL_BOUND:
-        d = 41
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -348,25 +348,40 @@ def test_oversized_modulus_rejected_quickly(tmp_path, capsys, case):
     assert bound in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("s", ["1100", "4000"])
-def test_attack_past_float_range(tmp_path, capsys, s):
-    # the Gaussian heuristic or its square leaves the float range: the report records inf
+@pytest.mark.parametrize(
+    "s,beta", [("1100", "1"), ("4000", "1"), ("1100", str(2**1097))],
+    ids=["1100", "4000", "1100-beta-2^1097"],
+)
+def test_attack_past_float_range(tmp_path, capsys, s, beta):
+    # the Gaussian heuristic or its square leaves the float range: the report records inf;
+    # so does the shortness ratio when beta itself is past the float range
     params = _gen(tmp_path, p=2, s=s, n=2, seed=1, extra=("--beta", "1", "--k", "4"))
     iso_file, pub_file, report_file = (tmp_path / name for name in ("i.txt", "pub.txt", "r.txt"))
     assert _run("make-iso", "--in", str(params), "--seed", "1", "--out", str(iso_file)) == 0
-    assert _run("sample", "--in", str(iso_file), "--public-only", "--seed", "1",
+    assert _run("sample", "--in", str(iso_file), "--public-only", "--beta", beta, "--seed", "1",
                 "--out", str(pub_file)) == 0
+    capsys.readouterr()
     assert _run("attack", "--in", str(pub_file), "--out", str(report_file)) == 0
     text = report_file.read_text()
     assert ("gaussian_heuristic: inf\n" in text) == (s == "4000")
-    assert "shortness_ratio: " in text
+    assert ("shortness_ratio: inf\n" in text) == (beta != "1")
+    assert ("(target length inf, ratio inf)" in capsys.readouterr().out) == (beta != "1")
 
 
 def test_gen_params_at_the_cost_bound_finishes(tmp_path):
     # n * bits(p) = 256 is the largest accepted; rejection sampling runs about n
-    # irreducibility tests of n * bits(p) products each
+    # irreducibility tests of at most n/2 * log2(p) products and n/2 gcds each
     start = time.perf_counter()
     _gen(tmp_path, p=13, s=1, n=64, seed=1)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_make_iso_at_the_cost_bound_finishes(tmp_path):
+    # p = 251, n = 32 is at the bound too; root finding in F_p^n dominates
+    params = _gen(tmp_path, p=251, s=1, n=32, seed=1)
+    start = time.perf_counter()
+    assert _run("make-iso", "--in", str(params), "--seed", "1",
+                "--out", str(tmp_path / "iso.txt")) == 0
     assert time.perf_counter() - start < 10.0
 
 

@@ -12,6 +12,7 @@ from griforge import (
     hnf_row_basis,
     in_lattice,
     lll_reduce,
+    render_report,
     run_attack,
     solve_in_basis,
 )
@@ -247,14 +248,21 @@ def test_run_attack_rejects_bad_gh_factor(gh_factor):
         run_attack(inst.public_only(), gh_factor=gh_factor)
 
 
-@pytest.mark.parametrize("s", [1100, 4000])
-def test_run_attack_past_float_range(s):
+@pytest.mark.parametrize(
+    "s,beta", [(1100, 1), (4000, 1), (1100, 2**1097)], ids=["1100", "4000", "1100-beta-2^1097"]
+)
+def test_run_attack_past_float_range(s, beta):
     # p^s past 2^1024: at s = 1100 the square of the Gaussian heuristic leaves
     # the float range, at s = 4000 the heuristic itself; either bound is inf.
-    inst = gen_instance(2, s, 2, 1, 4, random.Random(1))
+    # beta = 2^1097 < p^s / 2 is a valid bound, but beta * sqrt(k) is no
+    # float: the ratio and the rendered target length are inf.
+    inst = gen_instance(2, s, 2, beta, 4, random.Random(1))
     report = run_attack(inst.public_only())
     gh = report.gaussian_heuristic
-    if s == 1100:
+    if beta > 1:
+        assert math.isfinite(gh) and report.shortness_ratio == math.inf
+        assert "(target length inf, ratio inf)" in render_report(report)
+    elif s == 1100:
         assert math.isfinite(gh) and report.shortness_ratio == math.sqrt(4) / gh
     else:
         assert gh == math.inf and report.shortness_ratio == 0.0

@@ -197,11 +197,16 @@ def test_irreducibility_against_exhaustive_oracle():
 )
 def test_irreducibility_against_frobenius_oracle(p, n, count):
     # past the exhaustive oracle's reach; one sampled irreducible per cell
-    # makes sure both verdicts occur
+    # makes sure both verdicts occur. g1 * g2 and g1^2, whose least factor
+    # degree is n // 2, pin the last step of the test's loop: random
+    # candidates almost never have all their factors there.
     rng = random.Random(p * 1000 + n)
     m = Modulus(p, 1)
     polys = [Poly([rng.randrange(p) for _ in range(n)] + [1], m) for _ in range(count)]
     polys.append(random_monic_irreducible(m, n, rng))
+    g1, g2 = (random_monic_irreducible(m, d, rng) for d in (n // 2, n - n // 2))
+    assert frobenius_irreducible(g1) and frobenius_irreducible(g2)
+    polys += [Poly(schoolbook_mul(g1.coeffs, g.coeffs, p), m) for g in (g2, g1)]
     verdicts = [is_irreducible_mod_p(f) for f in polys]
     assert verdicts == [frobenius_irreducible(f) for f in polys]
     assert True in verdicts and False in verdicts

@@ -1,4 +1,5 @@
 import random
+from itertools import takewhile
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_modulus_validation():
 
 def test_is_prime_covers_mr_range():
     assert is_prime(2) and is_prime(97) and is_prime(1_000_003)
-    assert is_prime(2**61 - 1)  # above the trial-division bound
+    assert is_prime(2**61 - 1)  # far past the exhaustive range of the next test
     assert not is_prime(1) and not is_prime(561) and not is_prime(2**61 + 1)
     # psi_12: the least strong pseudoprime to the bases 2..37, caught by 41
     psi_12 = 318665857834031151167461
@@ -100,3 +101,13 @@ def test_is_prime_covers_mr_range():
     assert PSI_13 == 1287836182261 * 2575672364521 and is_prime(PSI_13)
     with pytest.raises(ValueError, match="below"):
         Modulus(PSI_13, 1)
+
+
+def test_is_prime_agrees_with_trial_division_below_200000():
+    # the small-prime loop and Miller-Rabin are the one path for every n
+    primes = []
+    for n in range(200_000):
+        expected = n >= 2 and all(n % q for q in takewhile(lambda q: q * q <= n, primes))
+        assert is_prime(n) == expected, n
+        if expected:
+            primes.append(n)
