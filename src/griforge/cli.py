@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 validation error, 4 internal
 invariant breach. Untrusted n, k and n * bits(p) are bounded by MAX_N,
 MAX_K and MAX_N_BITS before any polynomial arithmetic, distinguisher
 trials by MAX_TRIALS, and `attack --delta` refuses exponent notation,
-so oversized input fails fast.
+so oversized input fails fast. beta and k get the bounds `sample` needs.
 
 The loaders return the rings and the isomorphism they validated
 (`ParamData.dst`/`src`/`iso`, `GriInstance`, `CompositeCtx`), and the
@@ -20,6 +20,7 @@ commands work on those objects, so no file is validated twice.
 """
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -135,6 +136,14 @@ def _check_size(n: int | None, k: int | None = None, p: int | None = None):
             raise ValidationError(f"{label} = {value} is above the bound {label} <= {bound}")
 
 
+def _check_beta_k(beta: int | None, k: int | None, m: int):
+    """The bounds sample and distinguish put on beta and k, for the fields that are given."""
+    if beta is not None and not (1 <= beta and 2 * beta < m):
+        raise ValidationError(f"beta = {beta} is outside 1 <= beta < p^s/2 = {m}/2")
+    if k is not None and k < 1:
+        raise ValidationError(f"k = {k} is below 1")
+
+
 def _reject_leftovers(fields: dict[str, str]):
     if fields:
         raise ValidationError(f"unknown fields: {', '.join(sorted(fields))}")
@@ -181,6 +190,7 @@ def load_params(text: str) -> ParamData:
     beta = _take_opt_int(fields, "beta")
     k = _take_opt_int(fields, "k")
     _check_size(n, k, modulus.p)
+    _check_beta_k(beta, k, modulus.m)
     big_f = _take_poly(fields, "F", modulus)
     f = _take_poly(fields, "secret.f", modulus) if "secret.f" in fields else None
     phi_x = _take_poly(fields, "secret.phi_x", modulus) if "secret.phi_x" in fields else None
@@ -243,9 +253,8 @@ def load_instance(text: str) -> GriInstance:
     n = _take_int(fields, "n")
     beta = _take_int(fields, "beta")
     k = _take_int(fields, "k")
-    if beta < 1 or k < 1:
-        raise ValidationError("beta and k must be >= 1")
     _check_size(n, k, modulus.p)
+    _check_beta_k(beta, k, modulus.m)
     dst = _defining_ring(_take_poly(fields, "F", modulus), n, "F")
     images = tuple(
         _take_elem(fields, f"A.{i}", dst) for i in range(1, k + 1)
@@ -406,6 +415,7 @@ def cmd_gen_params(args) -> int:
         raise ValidationError("n must be >= 1")
     _check_size(args.n, args.k, args.p)
     modulus = Modulus(args.p, args.s)
+    _check_beta_k(args.beta, args.k, modulus.m)
     rng = _rng(args)
     f = random_monic_irreducible(modulus, args.n, rng)
     big_f = random_monic_irreducible(modulus, args.n, rng)
@@ -491,7 +501,9 @@ def cmd_crt_combine(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; `main` dispatches on its command name."""
     parser = argparse.ArgumentParser(
         prog="griforge",
         description="Galois ring isomorphism toolkit: parameters, isomorphisms, "
@@ -513,18 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
     add_common(sp)
-    sp.set_defaults(func=cmd_gen_params)
 
     sp = sub.add_parser("make-iso", help="construct the secret isomorphism")
     add_common(sp, needs_in=True)
-    sp.set_defaults(func=cmd_make_iso)
 
     sp = sub.add_parser("sample", help="sample short preimages and their public images")
     sp.add_argument("--beta", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--public-only", action="store_true", help="strip secret fields")
     add_common(sp, needs_in=True)
-    sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("attack", help="run the lattice attack on a public instance")
     sp.add_argument("--delta", default="0.99", help="LLL parameter in (1/4, 1)")
@@ -532,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="infile", required=True, help="instance file")
     sp.add_argument("--out", default=None, help="optional report file")
     sp.add_argument("--seed", type=int, default=None, help="unused, accepted for uniformity")
-    sp.set_defaults(func=cmd_attack)
 
     sp = sub.add_parser("distinguish", help="measure a distinguisher's success rate")
     sp.add_argument("--trials", type=int, required=True)
@@ -540,22 +548,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
     add_common(sp, needs_in=True, needs_out=False)
-    sp.set_defaults(func=cmd_distinguish)
 
     sp = sub.add_parser("crt-combine", help="combine params files into a composite ring")
     sp.add_argument("--in", dest="infile", action="append", required=True, help="repeatable")
     sp.add_argument("--out", default="-")
     sp.add_argument("--seed", type=int, default=None, help="unused, accepted for uniformity")
-    sp.set_defaults(func=cmd_crt_combine)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:  # looked up per call, so a rebound cmd_* (a test double, the bench tracer) applies
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InvariantBreach as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DegreeMismatch, ModuliNotCoprime, ParamMismatch, ValidationError
 from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso
-from .poly import Poly, _canon, _mul_rem, _raw_add, _raw_sub, _rem_matrix
+from .poly import Poly, _canon, _mul_rem, _raw_add, _raw_sub, _rem_matrix, _uniform
 from .zmod import centered, xgcd
 
 
@@ -105,7 +105,7 @@ class CompositeCtx:
         return self.elem([1])
 
     def random_elem(self, rng: random.Random) -> "CompositeElem":
-        return self.elem([rng.randrange(self.m) for _ in range(self.n)])
+        return CompositeElem(_uniform(rng, self.n, self.m), self)
 
 
 @dataclass(frozen=True)

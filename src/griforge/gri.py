@@ -10,12 +10,13 @@ uniform element and asks which is which.
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .errors import BetaOutOfRange, BetaTooLarge, InvariantBreach
 from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso, iso_from_phi_x
-from .poly import random_monic_irreducible
-from .zmod import Modulus
+from .poly import _trim, random_monic_irreducible
+from .zmod import Modulus, draws
 
 
 class GriParams(NamedTuple):
@@ -37,12 +38,10 @@ class ChiBeta:
         if self.beta < 1 or 2 * self.beta >= self.ctx.m:
             raise BetaOutOfRange(f"need 1 <= beta < {self.ctx.m}/2, got {self.beta}")
 
-    @property
-    def n(self) -> int:
-        return self.ctx.n
-
     def sample(self, rng: random.Random) -> RingElem:
-        return self.ctx.elem([rng.randint(-self.beta, self.beta) for _ in range(self.n)])
+        """The draws of n rng.randint(-beta, beta) calls; 2 beta < p^s, so they are centered."""
+        b = self.beta
+        return RingElem(tuple(_trim([x - b for x in draws(rng, self.ctx.n, 2 * b + 1)])), self.ctx)
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,11 @@ class GriInstance:
     secret: GriSecret | None
 
     def public_only(self) -> "GriInstance":
-        return replace(self, secret=None) if self.secret is not None else self
+        return self if self.secret is None else self._public
+
+    @cached_property
+    def _public(self) -> "GriInstance":
+        return replace(self, secret=None)
 
 
 def instance_from_iso(iso: Isomorphism, beta: int, k: int, rng: random.Random) -> GriInstance:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .ffield import find_root
 from .poly import Poly, _canon, _fp_inv, _mul_rem, _power, _pretty, _raw_add, _raw_sub
-from .poly import _rem_matrix, _trim, _wrap, is_irreducible_mod_p
+from .poly import _rem_matrix, _trim, _uniform, _wrap, is_irreducible_mod_p
 from .zmod import Modulus
 
 
@@ -104,8 +104,7 @@ class RingCtx:
             yield self.elem(coeffs)
 
     def random_elem(self, rng: random.Random) -> "RingElem":
-        m, n = self.m, self.n
-        return self.elem([rng.randrange(m) for _ in range(n)])
+        return RingElem(_uniform(rng, self.n, self.m), self)
 
 
 @dataclass(frozen=True)

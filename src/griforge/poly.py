@@ -3,8 +3,8 @@
 Coefficients are stored ascending by degree in centered form with
 trailing zeros trimmed; the zero polynomial has an empty coefficient
 tuple and degree -1. `_canon` builds that form, reducing modulo a monic
-f on request; it is the one canonicalisation for `Poly`, the ring
-elements of `gring` and `crt`, and the CLI loaders.
+f on request, for `Poly`, the ring elements of `gring` and `crt` and
+the CLI loaders; `_uniform` draws a uniform element in it directly.
 `Poly` plays the defining-polynomial role: f and fbar of a ring
 presentation, their derivative, the irreducibility test and sampling.
 Element arithmetic is the private kernel on flat integer lists, shared
@@ -22,7 +22,7 @@ import random
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .zmod import Modulus, centered, invmod
+from .zmod import Modulus, centered, draws, invmod
 
 
 def _trim(cs: list) -> list:
@@ -30,6 +30,11 @@ def _trim(cs: list) -> list:
     while cs and not cs[-1]:
         cs.pop()
     return cs
+
+
+def _uniform(rng, n, m) -> tuple[int, ...]:
+    """n uniform residues mod m, centered and trimmed: _canon of n rng.randrange(m) draws."""
+    return tuple(_trim([c - m if 2 * c > m else c for c in draws(rng, n, m)]))
 
 
 def _raw_add(a, b, m):
@@ -263,6 +268,6 @@ def random_monic_irreducible(modulus: Modulus, n: int, rng: random.Random) -> Po
         raise ValueError("degree must be >= 1")
     m = modulus.m
     while True:
-        f = Poly([rng.randrange(m) for _ in range(n)] + [1], modulus)
+        f = Poly(draws(rng, n, m) + [1], modulus)
         if is_irreducible_mod_p(f):
             return f

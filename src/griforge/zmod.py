@@ -57,6 +57,20 @@ def centered(x: int, m: int) -> int:
     return r
 
 
+def draws(rng, count: int, bound: int) -> list[int]:
+    """The values of count rng.randrange(bound) calls, leaving rng in the same state:
+    CPython's rejection loop of random.Random inlined, redrawing bits(bound) bits until below."""
+    if bound < 1:  # randrange's empty range; getrandbits(0) would loop forever
+        raise ValueError("bound must be >= 1")
+    k, getrandbits, out = bound.bit_length(), rng.getrandbits, []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: (g, u, v) with u*a + v*b = g >= 0."""
     old_r, r = a, b

@@ -86,6 +86,27 @@ def frobenius_irreducible(f: Poly) -> bool:
     return h == x
 
 
+def randrange_elem(ctx, rng):
+    """A uniform element of a ring or composite ring as first written: n randrange(m)
+    draws through the canonical form."""
+    return ctx.elem([rng.randrange(ctx.m) for _ in range(ctx.n)])
+
+
+def randint_short_elem(chi, rng):
+    """A chi_beta sample as first written: n randint(-beta, beta) draws through the
+    canonical form."""
+    return chi.ctx.elem([rng.randint(-chi.beta, chi.beta) for _ in range(chi.ctx.n)])
+
+
+def randrange_monic_irreducible(modulus, n, rng):
+    """random_monic_irreducible as first written, on randrange draws, with the
+    Frobenius criterion as its test."""
+    while True:
+        f = Poly([rng.randrange(modulus.m) for _ in range(n)] + [1], modulus)
+        if frobenius_irreducible(f):
+            return f
+
+
 def field_roots(g: Poly, field):
     """All roots of g in the field, by exhaustive evaluation."""
     return [a for a in field.elements() if eval_poly(g, a).is_zero]

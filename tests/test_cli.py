@@ -1,9 +1,11 @@
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -65,10 +67,51 @@ def test_gen_params_validation_errors(tmp_path, capsys):
     assert _run("gen-params", "--p", "2", "--s", "1", "--n", "0", "--out", str(out)) == 3
 
 
-def test_usage_error_exits_2():
+@pytest.mark.parametrize("flag, value", [
+    ("--beta", "0"), ("--beta", "-1"), ("--beta", "128"), ("--beta", "200"),
+    ("--k", "0"), ("--k", "-3"),
+])
+def test_gen_params_rejects_beta_and_k_no_command_accepts(tmp_path, capsys, flag, value):
+    # at m = 2^8 sampling needs 1 <= beta < 128 and k >= 1
+    out = tmp_path / "x.txt"
+    code = _run("gen-params", "--p", "2", "--s", "8", "--n", "6", flag, value,
+                "--seed", "1", "--out", str(out))
+    assert code == 3
+    assert f"{flag[2:]} = {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beta", "0"), ("beta", "-1"), ("beta", "128"), ("beta", "200"), ("k", "0"), ("k", "-3"),
+])
+def test_params_file_with_beta_or_k_no_command_accepts_is_rejected(tmp_path, capsys, field,
+                                                                    value):
+    params = _gen(tmp_path, p=2, s=8, n=6, seed=1, extra=("--beta", "127", "--k", "3"))
+    good = {"beta": "beta: 127\n", "k": "k: 3\n"}[field]
+    bad = params.read_text().replace(good, f"{field}: {value}\n")
+    with pytest.raises(ValidationError, match=f"{field} = {value}"):
+        load_params(bad)
+    params.write_text(bad)
+    assert _run("make-iso", "--in", str(params), "--seed", "1",
+                "--out", str(tmp_path / "iso.txt")) == 3
+    assert f"{field} = {value}" in capsys.readouterr().err
+
+
+def test_largest_beta_gen_params_accepts_samples(tmp_path):
+    params = _gen(tmp_path, p=2, s=8, n=6, seed=1, extra=("--beta", "127", "--k", "3"))
+    iso = tmp_path / "iso.txt"
+    inst = tmp_path / "inst.txt"
+    assert _run("make-iso", "--in", str(params), "--seed", "1", "--out", str(iso)) == 0
+    assert _run("sample", "--in", str(iso), "--seed", "1", "--out", str(inst)) == 0
+    assert load_instance(inst.read_text()).params.beta == 127
+
+
+def test_usage_error_exits_2(tmp_path):
+    first = _gen(tmp_path)  # main keeps one parser per process
     with pytest.raises(SystemExit) as exc:
         _run("gen-params", "--p", "2")  # missing required flags
     assert exc.value.code == 2
+    assert _gen(tmp_path, "again.txt").read_bytes() == first.read_bytes()
 
 
 def test_make_iso_roundtrip(tmp_path):
@@ -244,11 +287,62 @@ def test_invariant_breach_exits_4(tmp_path, monkeypatch, capsys):
     def broken(args):
         raise InvariantBreach("forced self-check failure")
 
+    _gen(tmp_path)  # the parser is built once, but main looks cmd_* up on every call
     monkeypatch.setattr(cli, "cmd_gen_params", broken)
     code = _run("gen-params", "--p", "2", "--s", "1", "--n", "2",
                 "--out", str(tmp_path / "x.txt"))
     assert code == 4
     assert "self-check" in capsys.readouterr().err
+
+
+def test_crt_combine_inputs_do_not_carry_over(tmp_path):
+    a = _gen(tmp_path, "a.txt", p=2, s=2, n=2, seed=1)
+    b = _gen(tmp_path, "b.txt", p=3, s=1, n=2, seed=2)
+    c = _gen(tmp_path, "c.txt", p=5, s=1, n=2, seed=3)
+    ab, ac = tmp_path / "ab.txt", tmp_path / "ac.txt"
+    assert _run("crt-combine", "--in", str(a), "--in", str(b), "--out", str(ab)) == 0
+    assert _run("crt-combine", "--in", str(a), "--in", str(c), "--out", str(ac)) == 0
+    assert [comp.p for comp in load_composite(ab.read_text())[0].components] == [2, 3]
+    assert [comp.p for comp in load_composite(ac.read_text())[0].components] == [2, 5]
+
+
+def _readme_chain():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI walkthrough")[1].split("```sh")[1].split("```")[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("griforge ")]
+
+
+def test_readme_chain_in_process_matches_one_process_per_command(tmp_path, monkeypatch, capsys):
+    chain = _readme_chain()
+    assert [argv[0] for argv in chain] == [
+        "gen-params", "make-iso", "sample", "sample", "attack", "distinguish", "distinguish",
+        "gen-params", "crt-combine",
+    ]
+    inproc, fresh = tmp_path / "inproc", tmp_path / "fresh"
+    inproc.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(inproc)
+    for argv in chain:
+        assert main(argv) == 0, argv
+    inproc_out = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(griforge.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    fresh_out = ""
+    for argv in chain:
+        proc = subprocess.run([sys.executable, "-m", "griforge.cli", *argv], cwd=fresh,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        fresh_out += proc.stdout
+
+    def timeless(out):  # the attack report ends with its wall time
+        return [line for line in out.splitlines() if not line.startswith("elapsed: ")]
+
+    assert timeless(inproc_out) == timeless(fresh_out)
+    names = sorted(f.name for f in inproc.iterdir())
+    assert names == sorted(f.name for f in fresh.iterdir()) and len(names) == 7
+    for name in names:
+        assert (inproc / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_invariant_breach_survives_optimize_flag(tmp_path):

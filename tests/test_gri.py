@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -10,6 +11,7 @@ from griforge import (
     challenge_from_instance,
     gen_decisional,
     gen_instance,
+    instance_from_iso,
     oracle_strategy,
     random_guess_strategy,
     random_monic_irreducible,
@@ -17,6 +19,7 @@ from griforge import (
     run_distinguisher_experiment,
     wilson_interval,
 )
+from griforge.cli import serialize_instance
 from griforge.errors import BetaOutOfRange, BetaTooLarge
 
 
@@ -84,8 +87,32 @@ def test_public_only_strips_secret():
     pub = inst.public_only()
     assert pub.secret is None
     assert pub.images == inst.images
+    assert inst.public_only() is pub and pub.public_only() is pub  # one view per instance
     with pytest.raises(ValueError):
         challenge_from_instance(pub, random.Random(0))
+
+
+@pytest.mark.parametrize("cell, after_gen, after_sample, after_challenge, digest", [
+    ((2, 8, 6, 1, 12), 10643030499566507882, 12055087343794823666, 3251308380919028487,
+     "ff0e0e3c61b40ad6"),
+    ((3, 4, 5, 2, 8), 11874448169843732621, 15354317719442120422, 11602582801581009584,
+     "e5aee3383b49dca4"),
+    ((2, 32, 24, 1, 24), 2636374105438800942, 8130783389822798934, 14816814523572752621,
+     "49c8426001b38903"),
+])
+def test_seeded_streams_are_pinned(cell, after_gen, after_sample, after_challenge, digest):
+    # a seed fixes every output and the generator state after each step; the
+    # figures were taken from the randrange/randint samplers the draws replaced
+    rng = random.Random(11)
+    inst = gen_instance(*cell, rng)
+    assert rng.getrandbits(64) == after_gen
+    again = instance_from_iso(inst.secret.iso, cell[3], cell[4], rng)
+    assert rng.getrandbits(64) == after_sample
+    challenge = challenge_from_instance(inst, rng)
+    assert rng.getrandbits(64) == after_challenge
+    text = serialize_instance(inst) + serialize_instance(again)
+    text += repr([e.coeffs for e in challenge.pair])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_decisional_hidden_bit_balanced():

@@ -3,9 +3,21 @@ from itertools import takewhile
 
 import pytest
 
-from griforge import Modulus, Poly, RingCtx, centered, eval_poly, invmod, is_prime
+from griforge import (
+    ChiBeta,
+    CompositeCtx,
+    Modulus,
+    Poly,
+    RingCtx,
+    centered,
+    eval_poly,
+    invmod,
+    is_prime,
+    random_monic_irreducible,
+)
 from griforge.errors import ModulusMismatch
-from griforge.zmod import MAX_MODULUS_BITS, PSI_13
+from griforge.zmod import MAX_MODULUS_BITS, PSI_13, draws
+from helpers import randint_short_elem, randrange_elem, randrange_monic_irreducible
 
 
 def test_centered_reduce_examples():
@@ -111,3 +123,48 @@ def test_is_prime_agrees_with_trial_division_below_200000():
         assert is_prime(n) == expected, n
         if expected:
             primes.append(n)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 256, 2**32, 3**10, 251**3, 2**64 + 13])
+def test_draws_are_randrange_draw_for_draw(bound):
+    # same values and the same generator state afterwards, so every later
+    # draw of a seeded run is unchanged too
+    for seed in range(30):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 7):
+            assert draws(ours, count, bound) == [theirs.randrange(bound) for _ in range(count)]
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_draws_refuse_an_empty_range():
+    with pytest.raises(ValueError):
+        draws(random.Random(0), 1, 0)
+
+
+def _same_stream(sample, oracle, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        assert sample(ours) == oracle(theirs)
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("p, s, n", [(2, 8, 6), (3, 4, 5), (2, 32, 24), (251, 1, 4), (5, 1, 1)])
+def test_samplers_draw_as_their_randrange_formulas(p, s, n):
+    modulus = Modulus(p, s)
+    for seed in range(10):
+        _same_stream(lambda rng: random_monic_irreducible(modulus, n, rng).coeffs,
+                     lambda rng: randrange_monic_irreducible(modulus, n, rng).coeffs, seed)
+        ctx = RingCtx(random_monic_irreducible(modulus, n, random.Random(seed)))
+        _same_stream(ctx.random_elem, lambda rng: randrange_elem(ctx, rng), seed)
+        for beta in {1, 2, (modulus.m - 1) // 2} - {0}:
+            if 2 * beta < modulus.m:
+                chi = ChiBeta(beta, ctx)
+                _same_stream(chi.sample, lambda rng: randint_short_elem(chi, rng), seed)
+
+
+def test_composite_random_elem_draws_as_randrange():
+    rng = random.Random(3)
+    comps = [RingCtx(random_monic_irreducible(Modulus(p, s), 4, rng)) for p, s in ((2, 8), (3, 2))]
+    ctx = CompositeCtx.from_components(comps)
+    for seed in range(30):
+        _same_stream(ctx.random_elem, lambda r: randrange_elem(ctx, r), seed)
