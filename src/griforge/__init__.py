@@ -40,7 +40,6 @@ from .gring import (
     RingCtx,
     RingElem,
     build_ring_iso,
-    eval_poly,
     field_iso_from_root,
     hensel_iterates,
     hensel_lift,
@@ -59,7 +58,7 @@ from .lattice import (
     run_attack,
     solve_in_basis,
 )
-from .poly import Poly, is_irreducible_mod_p, random_monic_irreducible
-from .zmod import Modulus, centered, invmod, is_prime, xgcd
+from .poly import Poly, eval_poly, is_irreducible_mod_p, random_monic_irreducible
+from .zmod import Modulus, centered, invmod, is_prime
 
 __version__ = "0.1.0"

@@ -38,9 +38,9 @@ from .gri import (
     random_guess_strategy,
     run_distinguisher_experiment,
 )
-from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso, eval_poly, iso_from_phi_x
-from .lattice import AttackReport, render_report, run_attack
-from .poly import Poly, _canon, random_monic_irreducible
+from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso, iso_from_phi_x
+from .lattice import DEFAULT_DELTA, DEFAULT_GH_FACTOR, AttackReport, render_report, run_attack
+from .poly import Poly, _canon, eval_poly, random_monic_irreducible
 from .zmod import Modulus
 
 FORMAT_HEADER = "griforge 1"
@@ -536,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, needs_in=True)
 
     sp = sub.add_parser("attack", help="run the lattice attack on a public instance")
-    sp.add_argument("--delta", default="0.99", help="LLL parameter in (1/4, 1)")
-    sp.add_argument("--gh-factor", dest="gh_factor", type=float, default=0.8)
+    sp.add_argument("--delta", default=str(DEFAULT_DELTA), help="LLL parameter in (1/4, 1)")
+    sp.add_argument("--gh-factor", dest="gh_factor", type=float, default=DEFAULT_GH_FACTOR)
     sp.add_argument("--in", dest="infile", required=True, help="instance file")
     sp.add_argument("--out", default=None, help="optional report file")
     sp.add_argument("--seed", type=int, default=None, help="unused, accepted for uniformity")

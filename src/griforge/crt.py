@@ -18,16 +18,17 @@ from typing import Sequence
 from .errors import DegreeMismatch, ModuliNotCoprime, ParamMismatch, ValidationError
 from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso
 from .poly import Poly, _canon, _mul_rem, _raw_add, _raw_sub, _rem_matrix, _uniform
-from .zmod import centered, xgcd
+from .zmod import centered
 
 
 def crt_ints(residues: Sequence[int], moduli: Sequence[int]) -> int:
     """Centered residue mod the product that matches every (residue, modulus)."""
     x, m = residues[0] % moduli[0], moduli[0]
     for r2, m2 in zip(residues[1:], moduli[1:]):
-        g, u, _ = xgcd(m, m2)
-        if g != 1:
-            raise ModuliNotCoprime(f"moduli {m} and {m2} share a factor")
+        try:
+            u = pow(m, -1, m2)
+        except ValueError:
+            raise ModuliNotCoprime(f"moduli {m} and {m2} share a factor") from None
         x = x + m * ((u * (r2 - x)) % m2)
         m *= m2
     return centered(x, m)

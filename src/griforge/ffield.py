@@ -22,7 +22,7 @@ from itertools import zip_longest
 
 from .errors import CtxMismatch, InvariantBreach, NoRoot
 from .poly import Poly, _fp_inv, _pack, _power, _raw_add, _raw_sub, _rem_slots, _trim
-from .poly import _width, is_irreducible_mod_p
+from .poly import _width, eval_poly, is_irreducible_mod_p
 
 
 def _tmul(u, v, p, red):
@@ -145,9 +145,6 @@ def find_root(g: Poly, field, rng: random.Random):
             h = d if len(d) <= len(other) else other
             hinv = _trev_inv(h, p, red)
     root = field.elem([-c for c in h[0]])
-    acc = field.zero()
-    for c in reversed(g.coeffs):
-        acc = acc * root + field.elem([c])
-    if not acc.is_zero:
+    if not eval_poly(g, root).is_zero:
         raise InvariantBreach("splitting produced a non-root")
     return root

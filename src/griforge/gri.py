@@ -142,7 +142,7 @@ def oracle_strategy(secret: GriSecret, beta: int) -> Strategy:
 
     def guess(challenge: DecisionalChallenge) -> int:
         for idx, cand in enumerate(challenge.pair):
-            if secret.iso.apply_inverse(cand).sup_norm() <= beta:
+            if all(abs(c) <= beta for c in secret.iso.apply_inverse(cand).coeffs):
                 return idx
         return 0
 

@@ -21,7 +21,6 @@ from .errors import (
     CtxMismatch,
     InvalidIsomorphism,
     InvariantBreach,
-    ModulusMismatch,
     NotARootModP,
     NotASimpleRoot,
     NotAUnit,
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .ffield import find_root
 from .poly import Poly, _canon, _fp_inv, _mul_rem, _power, _pretty, _raw_add, _raw_sub
-from .poly import _rem_matrix, _trim, _uniform, _wrap, is_irreducible_mod_p
+from .poly import _rem_matrix, _trim, _uniform, _wrap, eval_poly, is_irreducible_mod_p
 from .zmod import Modulus
 
 
@@ -192,16 +191,6 @@ class RingElem:
     def __repr__(self):
         modulus = self.ctx.modulus
         return f"{_pretty(self.coeffs)} (mod {modulus!r}) in GR({modulus!r}, {self.ctx.n})"
-
-
-def eval_poly(g: Poly, a: RingElem) -> RingElem:
-    """Horner evaluation of g over Z/p^sZ at a ring element."""
-    if g.modulus != a.ctx.modulus:
-        raise ModulusMismatch("polynomial and element use different moduli")
-    acc = a.ctx.zero()
-    for c in reversed(g.coeffs):
-        acc = acc * a + a.ctx.elem([c])
-    return acc
 
 
 def _in_ideal(a: RingElem, power: int) -> bool:

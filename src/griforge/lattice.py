@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import BadDelta, CtxMismatch, InvariantBreach
 from .gri import GriInstance
+from .linalg import _row_reduce
 from .zmod import Modulus, centered
 
 DEFAULT_DELTA = Fraction(99, 100)
@@ -231,26 +232,6 @@ def extract_short_vectors(reduced, beta: int, norm_bound_sq=None):
     return out
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    a = [[x % p for x in r] for r in rows]
-    rank = 0
-    for col in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [x * inv % p for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col]:
-                c = a[i][col]
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
-
-
 @dataclass(frozen=True)
 class AttackReport:
     p: int
@@ -320,7 +301,7 @@ def run_attack(
             for j in range(n)
         )
         candidates.append(replace(cand, combo=combo))
-    rank = _rank_mod_p([c.combo for c in candidates], params.p) if candidates else 0
+    rank = len(_row_reduce([c.combo for c in candidates], params.p, params.p)[1])
     return AttackReport(
         p=params.p,
         s=params.s,

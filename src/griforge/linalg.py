@@ -1,7 +1,7 @@
 """Small dense-matrix helpers over Z/mZ with centered entries."""
 
 from .poly import _pack, _unpack, _width
-from .zmod import centered, invmod
+from .zmod import centered
 
 
 def pack_rows(a, m: int) -> tuple[int, ...]:
@@ -16,23 +16,39 @@ def vec_mat(v, rows, m: int) -> list[int]:
     return _unpack(sum((c % m) * r for c, r in zip(v, rows)), _width(n, m), n, m)
 
 
+def _row_reduce(rows, m: int, p: int):
+    """Reduced row echelon form over Z/mZ, m = p^s, pivoting on units only.
+
+    Returns the rows, entries in [0, m), and their pivot columns; for
+    m = p every nonzero entry is a unit, so len(pivots) is the F_p rank.
+    """
+    a = [[x % m for x in r] for r in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] % p), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], -1, m)
+        top = a[r] = [x * inv % m for x in a[r]]
+        for i, row in enumerate(a):
+            c = row[col]
+            if c and i != r:
+                a[i] = [(x - c * y) % m for x, y in zip(row, top)]
+        pivots.append(col)
+    return a, pivots
+
+
 def mat_inv_mod(a, m: int, p: int) -> list[list[int]]:
-    """Invert a over Z/mZ, m = p^s, by Gauss-Jordan with unit pivots.
+    """Invert a over Z/mZ, m = p^s, by Gauss-Jordan on [a | I] with unit pivots.
 
     Succeeds exactly when a mod p is invertible over F_p: a unit pivot
-    (entry not divisible by p) then exists in every column.
+    (entry not divisible by p) then exists in every column of a.
     """
     n = len(a)
-    aug = [[centered(x, m) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
-        if piv is None:
-            raise ValueError("matrix is not invertible modulo p")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = invmod(aug[col][col], m)
-        aug[col] = [centered(x * inv, m) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [centered(x - c * y, m) for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    rows, pivots = _row_reduce(aug, m, p)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is not invertible modulo p")
+    return [[centered(x, m) for x in r[n:]] for r in rows]

@@ -22,6 +22,7 @@ import random
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
+from .errors import ModulusMismatch
 from .zmod import Modulus, centered, draws, invmod
 
 
@@ -229,6 +230,16 @@ def _pretty(coeffs: Sequence[int], var: str = "x") -> str:
         else:
             terms.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(terms)
+
+
+def eval_poly(g: Poly, a):
+    """Horner evaluation of g over Z/p^sZ at a ring element a (a `gring.RingElem`)."""
+    if g.modulus != a.ctx.modulus:
+        raise ModulusMismatch("polynomial and element use different moduli")
+    acc = a.ctx.zero()
+    for c in reversed(g.coeffs):
+        acc = acc * a + a.ctx.elem([c])
+    return acc
 
 
 def is_irreducible_mod_p(f: Poly) -> bool:

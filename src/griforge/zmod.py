@@ -71,27 +71,12 @@ def draws(rng, count: int, bound: int) -> list[int]:
     return out
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: (g, u, v) with u*a + v*b = g >= 0."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def invmod(a: int, m: int) -> int:
     """Centered inverse of a modulo m; ValueError when gcd(a, m) != 1."""
-    g, u, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return centered(u, m)
+    try:
+        return centered(pow(a, -1, m), m)
+    except ValueError:
+        raise ValueError(f"{a} is not invertible modulo {m}") from None
 
 
 @dataclass(frozen=True)

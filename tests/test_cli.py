@@ -171,6 +171,19 @@ def test_sample_attack_pipeline(tmp_path, capsys):
     assert "gh_factor" in capsys.readouterr().err
 
 
+def test_attack_defaults_are_the_library_defaults(tmp_path):
+    iso_file = _iso(tmp_path)
+    pub_file = tmp_path / "pub.txt"
+    assert _run("sample", "--in", str(iso_file), "--beta", "1", "--k", "8",
+                "--seed", "4", "--public-only", "--out", str(pub_file)) == 0
+    default, explicit = tmp_path / "default.txt", tmp_path / "explicit.txt"
+    assert _run("attack", "--in", str(pub_file), "--out", str(default)) == 0
+    assert _run("attack", "--in", str(pub_file), "--delta", "0.99", "--gh-factor", "0.8",
+                "--out", str(explicit)) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+    assert "delta: 99/100\n" in default.read_text()
+
+
 def test_instance_roundtrip_bytes(tmp_path):
     params = _gen(tmp_path, p=2, s=4, n=3, seed=9)
     iso_file = tmp_path / "iso.txt"
