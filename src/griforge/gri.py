@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import BetaOutOfRange, BetaTooLarge, InvariantBreach
@@ -65,6 +66,10 @@ class GriInstance:
     def _public(self) -> "GriInstance":
         return replace(self, secret=None)
 
+    @cached_property
+    def _chi(self) -> ChiBeta:
+        return ChiBeta(self.params.beta, self.secret.src)
+
 
 def instance_from_iso(iso: Isomorphism, beta: int, k: int, rng: random.Random) -> GriInstance:
     """Sample k short preimages under a fixed isomorphism and publish their images."""
@@ -111,8 +116,7 @@ def challenge_from_instance(inst: GriInstance, rng: random.Random) -> Decisional
     """A fresh decisional pair over an existing instance (needs the secret)."""
     if inst.secret is None:
         raise ValueError("challenge generation requires the instance secret")
-    chi = ChiBeta(inst.params.beta, inst.secret.src)
-    image = inst.secret.iso.apply(chi.sample(rng))
+    image = inst.secret.iso.apply(inst._chi.sample(rng))
     noise = inst.dst.random_elem(rng)
     bit = rng.randrange(2)
     pair = (image, noise) if bit == 0 else (noise, image)
@@ -137,12 +141,19 @@ def oracle_strategy(secret: GriSecret, beta: int) -> Strategy:
 
     A uniform element pulls back to a uniform element, which lands in
     the box of sup-norm beta with probability ((2*beta+1)/p^s)^n, so
-    at small beta this strategy is essentially always right.
+    at small beta this strategy is essentially always right. Coefficient
+    0 of a pull-back is cand . col0 mod p^s, so a candidate of the
+    destination ring whose coefficient 0 already exceeds beta is skipped
+    without the full pull-back.
     """
+    iso, m = secret.iso, secret.iso.src.m
+    col0 = [row[0] % m for row in iso.bwd]
 
     def guess(challenge: DecisionalChallenge) -> int:
         for idx, cand in enumerate(challenge.pair):
-            if all(abs(c) <= beta for c in secret.iso.apply_inverse(cand).coeffs):
+            if cand.ctx is iso.dst and 0 <= beta < sum(map(mul, cand.coeffs, col0)) % m < m - beta:
+                continue
+            if all(abs(c) <= beta for c in iso.apply_inverse(cand).coeffs):
                 return idx
         return 0
 

@@ -73,11 +73,11 @@ class RingCtx:
     def s(self) -> int:
         return self.modulus.s
 
-    @property
+    @cached_property
     def m(self) -> int:
         return self.modulus.m
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.f.degree
 
@@ -260,12 +260,12 @@ class Isomorphism:
         return linalg.pack_rows(self.fwd, self.dst.m), linalg.pack_rows(self.bwd, self.src.m)
 
     def apply(self, a: RingElem) -> RingElem:
-        if a.ctx != self.src:
+        if a.ctx is not self.src and a.ctx != self.src:
             raise CtxMismatch("element is not in the source ring")
         return _image(a, self._packed[0], self.dst)
 
     def apply_inverse(self, a: RingElem) -> RingElem:
-        if a.ctx != self.dst:
+        if a.ctx is not self.dst and a.ctx != self.dst:
             raise CtxMismatch("element is not in the destination ring")
         return _image(a, self._packed[1], self.src)
 

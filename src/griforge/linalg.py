@@ -1,5 +1,7 @@
 """Small dense-matrix helpers over Z/mZ with centered entries."""
 
+from operator import mul
+
 from .poly import _pack, _unpack, _width
 from .zmod import centered
 
@@ -13,7 +15,7 @@ def pack_rows(a, m: int) -> tuple[int, ...]:
 def vec_mat(v, rows, m: int) -> list[int]:
     """v (zero-padded) times the square matrix pack_rows packed: one sum of (v_i mod m) * row_i."""
     n = len(rows)
-    return _unpack(sum((c % m) * r for c, r in zip(v, rows)), _width(n, m), n, m)
+    return _unpack(sum(map(mul, [c % m for c in v], rows)), _width(n, m), n, m)
 
 
 def _row_reduce(rows, m: int, p: int):

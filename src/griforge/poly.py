@@ -35,7 +35,8 @@ def _trim(cs: list) -> list:
 
 def _uniform(rng, n, m) -> tuple[int, ...]:
     """n uniform residues mod m, centered and trimmed: _canon of n rng.randrange(m) draws."""
-    return tuple(_trim([c - m if 2 * c > m else c for c in draws(rng, n, m)]))
+    half = m // 2
+    return tuple(_trim([c - m if c > half else c for c in draws(rng, n, m)]))
 
 
 def _raw_add(a, b, m):

@@ -107,6 +107,15 @@ def randrange_monic_irreducible(modulus, n, rng):
             return f
 
 
+def full_pullback_guess(secret, beta, challenge):
+    """The oracle distinguisher as first written: pull each candidate back in full and
+    return the index of the first whose coefficients all lie in [-beta, beta], else 0."""
+    for idx, cand in enumerate(challenge.pair):
+        if all(abs(c) <= beta for c in secret.iso.apply_inverse(cand).coeffs):
+            return idx
+    return 0
+
+
 def field_roots(g: Poly, field):
     """All roots of g in the field, by exhaustive evaluation."""
     return [a for a in field.elements() if eval_poly(g, a).is_zero]

@@ -1,13 +1,17 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from griforge import (
     ChiBeta,
+    DecisionalChallenge,
     Modulus,
+    Poly,
     RingCtx,
+    RingElem,
     challenge_from_instance,
     gen_decisional,
     gen_instance,
@@ -20,7 +24,8 @@ from griforge import (
     wilson_interval,
 )
 from griforge.cli import serialize_instance
-from griforge.errors import BetaOutOfRange, BetaTooLarge
+from griforge.errors import BetaOutOfRange, BetaTooLarge, CtxMismatch
+from helpers import full_pullback_guess
 
 
 def _ctx(p, s, n, seed):
@@ -182,6 +187,87 @@ def test_oracle_false_positive_rate_matches_prediction():
     expected = (3 / 4) ** 2
     sigma = math.sqrt(trials * expected * (1 - expected))
     assert abs(hits - trials * expected) <= 3 * sigma
+
+
+@pytest.mark.parametrize("cell", [
+    (2, 8, 6, 1, 12), (2, 32, 24, 1, 12), (3, 10, 8, 4, 12), (13, 1, 8, 2, 12),
+])
+def test_oracle_matches_full_pullback_on_seeded_challenges(cell):
+    # the coefficient-0 screen only skips candidates the full check rejects
+    rng = random.Random(sum(cell))
+    inst = gen_instance(*cell, rng)
+    beta = cell[3]
+    guess = oracle_strategy(inst.secret, beta)
+    for _ in range(500):
+        view = challenge_from_instance(inst, rng).public_view()
+        assert guess(view) == full_pullback_guess(inst.secret, beta, view)
+
+
+def _pair(inst, a, b):
+    return DecisionalChallenge(inst.public_only(), (a, b), None)
+
+
+def test_oracle_matches_full_pullback_on_crafted_pairs():
+    rng = random.Random(21)
+    inst = gen_instance(2, 32, 24, 1, 12, rng)
+    secret, beta, dst = inst.secret, 1, inst.dst
+    guess = oracle_strategy(secret, beta)
+    image, noise = inst.images[0], dst.random_elem(rng)
+    # coefficient 0 is 0, so the screen lets it through; coefficient 1 is too long
+    long1 = secret.iso.apply(secret.src.elem([0, beta + 1]))
+    cases = {
+        (noise, dst.random_elem(rng)): 0,
+        (image, inst.images[1]): 0,
+        (noise, image): 1,
+        (long1, image): 1,
+        (long1, noise): 0,
+    }
+    for (a, b), want in cases.items():
+        assert guess(_pair(inst, a, b)) == want
+        assert full_pullback_guess(secret, beta, _pair(inst, a, b)) == want
+
+
+@pytest.mark.parametrize("p, s, n", [(2, 2, 2), (5, 1, 2), (3, 2, 2)])
+def test_oracle_matches_full_pullback_on_every_pair_and_beta(p, s, n):
+    # every pair of a small ring, for beta from -1 past m/2, where the screen
+    # never fires (and beta < 0, where only the zero pull-back is short)
+    inst = gen_instance(p, s, n, 1, 2, random.Random(p + s + n))
+    elems = list(inst.dst.elements())
+    m = p**s
+    for beta in range(-1, m // 2 + 2):
+        guess = oracle_strategy(inst.secret, beta)
+        for a in elems:
+            for b in elems:
+                pair = _pair(inst, a, b)
+                assert guess(pair) == full_pullback_guess(inst.secret, beta, pair)
+
+
+def test_oracle_ctx_equal_but_not_identical_and_foreign():
+    rng = random.Random(22)
+    inst = gen_instance(3, 10, 8, 4, 12, rng)
+    guess = oracle_strategy(inst.secret, 4)
+    twin = RingCtx(Poly(inst.dst.f.coeffs, inst.dst.modulus))
+    assert twin == inst.dst and twin is not inst.dst
+    for _ in range(200):
+        ch = challenge_from_instance(inst, rng)
+        view = _pair(inst, *(RingElem(e.coeffs, twin) for e in ch.pair))
+        assert guess(view) == full_pullback_guess(inst.secret, 4, view) == ch.hidden_bit
+    other = gen_instance(3, 10, 8, 4, 12, random.Random(23)).dst
+    assert other != inst.dst
+    foreign = _pair(inst, other.random_elem(rng), inst.images[0])
+    with pytest.raises(CtxMismatch):
+        guess(foreign)
+    with pytest.raises(CtxMismatch):
+        full_pullback_guess(inst.secret, 4, foreign)
+
+
+def test_challenge_beta_checked_on_every_use():
+    inst = gen_instance(2, 3, 2, 1, 2, random.Random(24))
+    bad = replace(inst, params=inst.params._replace(beta=4))
+    for _ in range(2):
+        with pytest.raises(BetaOutOfRange):
+            challenge_from_instance(bad, random.Random(25))
+    assert challenge_from_instance(inst, random.Random(25)).pair
 
 
 def test_trials_precondition():

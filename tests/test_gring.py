@@ -333,6 +333,28 @@ def test_param_and_ctx_mismatches():
         iso.apply(dst.one())
 
 
+def test_apply_accepts_an_equal_ctx_object():
+    # the identity fast path must not narrow what apply accepts to the same object
+    rng = random.Random(9)
+    m = Modulus(3, 4)
+    f, big_f = (random_monic_irreducible(m, 4, rng) for _ in range(2))
+    src, dst = RingCtx(f), RingCtx(big_f)
+    iso = build_ring_iso(src, dst, rng)
+    src2, dst2 = RingCtx(Poly(f.coeffs, m)), RingCtx(Poly(big_f.coeffs, m))
+    assert src2 == src and src2 is not src and dst2 == dst and dst2 is not dst
+    for _ in range(20):
+        a, b = src.random_elem(rng), dst.random_elem(rng)
+        assert iso.apply(RingElem(a.coeffs, src2)) == iso.apply(a)
+        assert iso.apply_inverse(RingElem(b.coeffs, dst2)) == iso.apply_inverse(b)
+    other = RingCtx(Poly([c + 3 for c in big_f.coeffs[:-1]] + [1], m))
+    assert other != dst
+    with pytest.raises(CtxMismatch):
+        iso.apply_inverse(other.one())
+    with pytest.raises(CtxMismatch):
+        iso.apply(other.one())
+    assert (src2.n, src2.m) == (f.degree, m.m)  # cached by the uses above
+
+
 def test_iso_from_phi_x_rejects_non_root():
     src = RingCtx(Poly([1, 1, 1], M4))
     dst = RingCtx(Poly([3, 3, 1], M4))
