@@ -15,7 +15,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import BetaOutOfRange, BetaTooLarge, InvariantBreach
-from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso, iso_from_phi_x
+from .gring import Isomorphism, RingCtx, RingElem, _wrap_elem, build_ring_iso, iso_from_phi_x
 from .poly import _trim, random_monic_irreducible
 from .zmod import Modulus, draws
 
@@ -42,7 +42,8 @@ class ChiBeta:
     def sample(self, rng: random.Random) -> RingElem:
         """The draws of n rng.randint(-beta, beta) calls; 2 beta < p^s, so they are centered."""
         b = self.beta
-        return RingElem(tuple(_trim([x - b for x in draws(rng, self.ctx.n, 2 * b + 1)])), self.ctx)
+        cs = _trim([x - b for x in draws(rng, self.ctx.n, 2 * b + 1)])
+        return _wrap_elem(tuple(cs), self.ctx)
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def challenge_from_instance(inst: GriInstance, rng: random.Random) -> Decisional
         raise ValueError("challenge generation requires the instance secret")
     image = inst.secret.iso.apply(inst._chi.sample(rng))
     noise = inst.dst.random_elem(rng)
-    bit = rng.randrange(2)
+    bit = draws(rng, 1, 2)[0]  # rng.randrange(2)
     pair = (image, noise) if bit == 0 else (noise, image)
     return DecisionalChallenge(inst, pair, bit)
 
@@ -142,20 +143,25 @@ def oracle_strategy(secret: GriSecret, beta: int) -> Strategy:
     A uniform element pulls back to a uniform element, which lands in
     the box of sup-norm beta with probability ((2*beta+1)/p^s)^n, so
     at small beta this strategy is essentially always right. Coefficient
-    0 of a pull-back is cand . col0 mod p^s, so a candidate of the
+    0 of a pull-back is cand . col0 mod p^s, so a first candidate of the
     destination ring whose coefficient 0 already exceeds beta is skipped
-    without the full pull-back.
+    without the full pull-back. The last candidate is not screened: the
+    full check decides it, and once the first is rejected the last is
+    almost always the short image, which the screen would let through.
     """
     iso, m = secret.iso, secret.iso.src.m
     col0 = [row[0] % m for row in iso.bwd]
 
+    def short(cand: RingElem) -> bool:
+        cs = iso.apply_inverse(cand).coeffs
+        return not cs or -beta <= min(cs) and max(cs) <= beta
+
     def guess(challenge: DecisionalChallenge) -> int:
-        for idx, cand in enumerate(challenge.pair):
-            if cand.ctx is iso.dst and 0 <= beta < sum(map(mul, cand.coeffs, col0)) % m < m - beta:
-                continue
-            if all(abs(c) <= beta for c in iso.apply_inverse(cand).coeffs):
-                return idx
-        return 0
+        first, last = challenge.pair
+        screened = first.ctx is iso.dst and 0 <= beta < sum(map(mul, first.coeffs, col0)) % m < m - beta
+        if not screened and short(first):
+            return 0
+        return int(short(last))
 
     return guess
 
@@ -188,9 +194,11 @@ def run_distinguisher_experiment(
     """Empirical success rate of a distinguisher over fresh challenges.
 
     One instance is generated (or supplied) and fresh pairs are drawn
-    per trial, each from a derived independent stream; the hidden bits
-    are independent fair coins, so the report is order-insensitive and
-    a blind guesser converges to 1/2.
+    per trial, each from a derived independent stream: one generator,
+    reseeded from rng per trial, which leaves it in the state of a new
+    Random with that seed. The hidden bits are independent fair coins,
+    so the report is order-insensitive and a blind guesser converges to
+    1/2.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -198,8 +206,9 @@ def run_distinguisher_experiment(
     if inst.params != GriParams(*params):
         raise ValueError("supplied instance does not match the parameters")
     successes = 0
+    stream = random.Random(0)
     for _ in range(trials):
-        stream = random.Random(rng.getrandbits(64))
+        stream.seed(rng.getrandbits(64))
         challenge = challenge_from_instance(inst, stream)
         if distinguisher(challenge.public_view()) == challenge.hidden_bit:
             successes += 1

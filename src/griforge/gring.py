@@ -83,19 +83,19 @@ class RingCtx:
 
     def elem(self, coeffs) -> "RingElem":
         """The class of the polynomial with these coefficients, in canonical form."""
-        return RingElem(_canon(coeffs, self.m, self.f.coeffs), self)
+        return _wrap_elem(_canon(coeffs, self.m, self.f.coeffs), self)
 
     def zero(self) -> "RingElem":
-        return RingElem((), self)
+        return _wrap_elem((), self)
 
     def one(self) -> "RingElem":
-        return RingElem((1,), self)
+        return _wrap_elem((1,), self)
 
     def gen_class(self) -> "RingElem":
         """The class of the quotient variable (a constant when n = 1)."""
         if self.n == 1:
             return self.elem([-self.f.coeffs[0]])
-        return RingElem((0, 1), self)
+        return _wrap_elem((0, 1), self)
 
     def elements(self):
         """All p^(s*n) elements; intended for small brute-force checks."""
@@ -103,7 +103,7 @@ class RingCtx:
             yield self.elem(coeffs)
 
     def random_elem(self, rng: random.Random) -> "RingElem":
-        return RingElem(_uniform(rng, self.n, self.m), self)
+        return _wrap_elem(_uniform(rng, self.n, self.m), self)
 
 
 @dataclass(frozen=True)
@@ -142,19 +142,19 @@ class RingElem:
 
     def __add__(self, other):
         self._same(other)
-        return RingElem(tuple(_raw_add(self.coeffs, other.coeffs, self.ctx.m)), self.ctx)
+        return _wrap_elem(tuple(_raw_add(self.coeffs, other.coeffs, self.ctx.m)), self.ctx)
 
     def __sub__(self, other):
         self._same(other)
-        return RingElem(tuple(_raw_sub(self.coeffs, other.coeffs, self.ctx.m)), self.ctx)
+        return _wrap_elem(tuple(_raw_sub(self.coeffs, other.coeffs, self.ctx.m)), self.ctx)
 
     def __neg__(self):
-        return RingElem(tuple(_raw_sub((), self.coeffs, self.ctx.m)), self.ctx)
+        return _wrap_elem(tuple(_raw_sub((), self.coeffs, self.ctx.m)), self.ctx)
 
     def __mul__(self, other):
         self._same(other)
         ctx = self.ctx
-        return RingElem(tuple(_mul_rem(self.coeffs, other.coeffs, ctx._rem_matrix, ctx.m)), ctx)
+        return _wrap_elem(tuple(_mul_rem(self.coeffs, other.coeffs, ctx._rem_matrix, ctx.m)), ctx)
 
     def pow(self, e: int) -> "RingElem":
         if e < 0:
@@ -163,7 +163,7 @@ class RingElem:
 
     def reduce_mod_p(self) -> "RingElem":
         """Image under the reduction map onto the residue field."""
-        return RingElem(_canon(self.coeffs, self.ctx.p), self.ctx.residue_field)
+        return _wrap_elem(_canon(self.coeffs, self.ctx.p), self.ctx.residue_field)
 
     def is_unit(self) -> bool:
         return not self.reduce_mod_p().is_zero
@@ -191,6 +191,20 @@ class RingElem:
     def __repr__(self):
         modulus = self.ctx.modulus
         return f"{_pretty(self.coeffs)} (mod {modulus!r}) in GR({modulus!r}, {self.ctx.n})"
+
+
+def _wrap_elem(coeffs: tuple[int, ...], ctx: RingCtx) -> RingElem:
+    """A RingElem from coefficients a kernel already made canonical, without the length check.
+
+    It sets the fields as the frozen dataclass's own __init__ does, minus
+    __post_init__, so equality, hash, repr and layout are the public
+    constructor's (reading e.__dict__ instead would give every element a
+    full dict of its own).
+    """
+    e = object.__new__(RingElem)
+    object.__setattr__(e, "coeffs", coeffs)
+    object.__setattr__(e, "ctx", ctx)
+    return e
 
 
 def _in_ideal(a: RingElem, power: int) -> bool:
@@ -256,7 +270,7 @@ class Isomorphism:
     bwd: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def _packed(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _packed(self) -> tuple[tuple, tuple]:
         return linalg.pack_rows(self.fwd, self.dst.m), linalg.pack_rows(self.bwd, self.src.m)
 
     def apply(self, a: RingElem) -> RingElem:
@@ -270,10 +284,10 @@ class Isomorphism:
         return _image(a, self._packed[1], self.src)
 
 
-def _image(a: RingElem, rows, ctx: RingCtx) -> RingElem:
+def _image(a: RingElem, packed, ctx: RingCtx) -> RingElem:
     """The element of ctx whose coefficient vector is a's times the packed matrix."""
-    cs = _trim(linalg.vec_mat(a.coeffs, rows, ctx.m))  # centered, degree < n
-    return RingElem(tuple(cs), ctx)
+    cs = _trim(linalg.vec_mat(a.coeffs, packed, ctx.m))  # centered, degree < n
+    return _wrap_elem(tuple(cs), ctx)
 
 
 def _check_params(src: RingCtx, dst: RingCtx):

@@ -2,20 +2,36 @@
 
 from operator import mul
 
-from .poly import _pack, _unpack, _width
+from .poly import _pack, _unpack
 from .zmod import centered
 
 
-def pack_rows(a, m: int) -> tuple[int, ...]:
-    """The rows of the square matrix a, Kronecker-packed for vec_mat."""
-    w = _width(len(a), m)
-    return tuple(_pack(r, w, m) for r in a)
+def pack_rows(a, m: int) -> tuple[tuple[int, ...], int, int]:
+    """The rows of the square matrix a Kronecker-packed for vec_mat, the offset and the slot width w.
+
+    Row entries are packed as residues in [0, m). A centered v has entries
+    in [-((m-1)//2), m//2], so slot j of the sum of v_i * row_i lies in
+    [-n((m-1)//2)(m-1), n(m//2)(m-1)]. The offset holds off = m*ceil(n(m-1)/2)
+    in every slot: off is 0 mod m and at least minus the lowest slot sum,
+    so it lifts every slot into [0, 2^w) without changing its residue.
+    """
+    n = len(a)
+    off = m * ((n * (m - 1) + 1) // 2)
+    w = (n * (m // 2) * (m - 1) + off).bit_length()
+    offset = off * ((1 << n * w) - 1) // ((1 << w) - 1)  # off in each of the n slots
+    return tuple(_pack(r, w, m) for r in a), offset, w
 
 
-def vec_mat(v, rows, m: int) -> list[int]:
-    """v (zero-padded) times the square matrix pack_rows packed: one sum of (v_i mod m) * row_i."""
-    n = len(rows)
-    return _unpack(sum(map(mul, [c % m for c in v], rows)), _width(n, m), n, m)
+def vec_mat(v, packed, m: int) -> list[int]:
+    """v (zero-padded) times the square matrix pack_rows packed, centered mod m.
+
+    One sum of v_i * row_i over the offset; entries of v outside the
+    centered range are reduced first, so any integers are exact.
+    """
+    rows, offset, w = packed
+    if v and (2 * max(v) > m or 2 * min(v) <= -m):
+        v = [centered(c, m) for c in v]
+    return _unpack(sum(map(mul, v, rows), offset), w, len(rows), m)
 
 
 def _row_reduce(rows, m: int, p: int):

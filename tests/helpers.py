@@ -2,10 +2,21 @@
 deliberately kept apart from the library code paths they check."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
-from griforge import Poly, centered, eval_poly, hnf_row_basis
+from griforge import (
+    ChiBeta,
+    DecisionalChallenge,
+    ExperimentReport,
+    Poly,
+    centered,
+    eval_poly,
+    gen_instance,
+    hnf_row_basis,
+    wilson_interval,
+)
 
 
 def schoolbook_rem(a, f, m):
@@ -114,6 +125,25 @@ def full_pullback_guess(secret, beta, challenge):
         if all(abs(c) <= beta for c in secret.iso.apply_inverse(cand).coeffs):
             return idx
     return 0
+
+
+def reference_experiment(params, distinguisher, trials, rng, instance=None):
+    """run_distinguisher_experiment as first written: a new Random per trial, and each
+    challenge drawn by randint, randrange and randrange(2) through the canonical form."""
+    inst = instance if instance is not None else gen_instance(*params, rng)
+    chi = ChiBeta(inst.params.beta, inst.secret.src)
+    successes = 0
+    for _ in range(trials):
+        stream = random.Random(rng.getrandbits(64))
+        image = inst.secret.iso.apply(randint_short_elem(chi, stream))
+        noise = randrange_elem(inst.dst, stream)
+        bit = stream.randrange(2)
+        pair = (image, noise) if bit == 0 else (noise, image)
+        challenge = DecisionalChallenge(inst, pair, bit)
+        if distinguisher(challenge.public_view()) == challenge.hidden_bit:
+            successes += 1
+    low, high = wilson_interval(successes, trials)
+    return ExperimentReport(trials, successes, successes / trials, low, high)
 
 
 def field_roots(g: Poly, field):

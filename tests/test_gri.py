@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -8,6 +9,8 @@ import pytest
 from griforge import (
     ChiBeta,
     DecisionalChallenge,
+    ExperimentReport,
+    GriParams,
     Modulus,
     Poly,
     RingCtx,
@@ -25,7 +28,7 @@ from griforge import (
 )
 from griforge.cli import serialize_instance
 from griforge.errors import BetaOutOfRange, BetaTooLarge, CtxMismatch
-from helpers import full_pullback_guess
+from helpers import full_pullback_guess, reference_experiment
 
 
 def _ctx(p, s, n, seed):
@@ -290,6 +293,69 @@ def test_experiment_deterministic_given_seed():
         params, random_guess_strategy(random.Random(1)), 200, random.Random(2)
     )
     assert r1 == r2
+
+
+@functools.cache
+def _experiment_instance(cell):
+    return gen_instance(*cell, random.Random(100 + sum(cell)))
+
+
+def _recorded_experiment(run, cell, strategy, trials=200):
+    """run's report, the next draw of its rng after the run, and the sha256 of the pairs
+    the strategy saw with which member of each pulls back short (the hidden bit)."""
+    inst = _experiment_instance(cell)
+    secret, beta = inst.secret, cell[3]
+    inner = {
+        "oracle": oracle_strategy(secret, beta),
+        "random-guess": random_guess_strategy(random.Random(7)),
+        "recording": lambda challenge: 0,
+    }[strategy]
+    seen = hashlib.sha256()
+
+    def recorder(challenge):
+        short = [secret.iso.apply_inverse(e).sup_norm() <= beta for e in challenge.pair]
+        seen.update(repr(([e.coeffs for e in challenge.pair], short)).encode())
+        return inner(challenge)
+
+    rng = random.Random(31)
+    report = run(GriParams(*cell), recorder, trials, rng, instance=inst)
+    return report, rng.getrandbits(64), seen.hexdigest()[:16]
+
+
+EXPERIMENT_PINS = [
+    ((2, 8, 6, 1, 12), "oracle", 200, 16353001820561517125, "a2cf24d0f2c14e0b"),
+    ((2, 8, 6, 1, 12), "random-guess", 100, 16353001820561517125, "a2cf24d0f2c14e0b"),
+    ((2, 8, 6, 1, 12), "recording", 108, 16353001820561517125, "a2cf24d0f2c14e0b"),
+    ((2, 32, 24, 1, 12), "oracle", 200, 16353001820561517125, "c576b9798e4fdc25"),
+    ((2, 32, 24, 1, 12), "random-guess", 98, 16353001820561517125, "c576b9798e4fdc25"),
+    ((2, 32, 24, 1, 12), "recording", 94, 16353001820561517125, "c576b9798e4fdc25"),
+    ((3, 10, 8, 4, 12), "oracle", 200, 16353001820561517125, "7a038124c55bc8b3"),
+    ((3, 10, 8, 4, 12), "random-guess", 99, 16353001820561517125, "7a038124c55bc8b3"),
+    ((3, 10, 8, 4, 12), "recording", 101, 16353001820561517125, "7a038124c55bc8b3"),
+    ((13, 1, 8, 2, 12), "oracle", 200, 16353001820561517125, "f375d62f408b8652"),
+    ((13, 1, 8, 2, 12), "random-guess", 86, 16353001820561517125, "f375d62f408b8652"),
+    ((13, 1, 8, 2, 12), "recording", 106, 16353001820561517125, "f375d62f408b8652"),
+]
+
+
+@pytest.mark.parametrize("cell, strategy, successes, after, digest", EXPERIMENT_PINS)
+def test_experiment_is_pinned(cell, strategy, successes, after, digest):
+    # the figures were taken with a new Random per trial and randrange(2) for the bit
+    report, got_after, got_digest = _recorded_experiment(run_distinguisher_experiment, cell, strategy)
+    low, high = wilson_interval(successes, 200)
+    assert report == ExperimentReport(200, successes, successes / 200, low, high)
+    assert (got_after, got_digest) == (after, digest)
+    assert _recorded_experiment(reference_experiment, cell, strategy) == (report, after, digest)
+
+
+def test_experiment_generating_its_instance_matches_reference():
+    params = GriParams(2, 8, 6, 1, 12)
+    runs = []
+    for run in (run_distinguisher_experiment, reference_experiment):
+        rng = random.Random(41)
+        report = run(params, random_guess_strategy(random.Random(42)), 300, rng)
+        runs.append((report, rng.getrandbits(64)))
+    assert runs[0] == runs[1]
 
 
 def test_wilson_interval_sane():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from griforge import (
+    ChiBeta,
     CompositeCtx,
     Modulus,
     Poly,
@@ -275,6 +276,49 @@ def test_packed_vec_mat_matches_plain_sum(m):
             cases.append((v, a))
     for v, a in cases:
         assert vec_mat(v, pack_rows(a, m), m) == plain(v, a), (v, a)
+
+
+def _is_canonical(e):
+    m = e.ctx.m
+    cs = e.coeffs
+    return len(cs) <= e.ctx.n and (not cs or cs[-1] != 0) and all(-m < 2 * c <= m for c in cs)
+
+
+def test_kernel_built_elements_equal_public_ones():
+    # kernels build elements without RingElem.__init__; they must be the same values
+    rng = random.Random(10)
+    m = Modulus(3, 4)
+    src, dst = (RingCtx(random_monic_irreducible(m, 5, rng)) for _ in range(2))
+    iso = build_ring_iso(src, dst, rng)
+    a, b = src.random_elem(rng), ChiBeta(2, src).sample(rng)
+    built = [a, b, a + b, a - b, -a, a * b, src.zero(), src.one(), src.gen_class(),
+             src.elem([7, 8, 9]), a.reduce_mod_p(), iso.apply(b), iso.apply_inverse(iso.apply(a))]
+    for e in built:
+        public = RingElem(e.coeffs, e.ctx)
+        assert type(e) is RingElem and vars(e) == vars(public)
+        assert e == public and public == e and hash(e) == hash(public) and repr(e) == repr(public)
+        assert _is_canonical(e)
+    assert iso.apply_inverse(iso.apply(a)) == a
+    with pytest.raises(ValueError, match="canonical range"):
+        RingElem(tuple(range(1, src.n + 2)), src)
+
+
+@pytest.mark.parametrize("p, s, n", [(2, 8, 6), (3, 10, 5), (251, 1, 4), (2, MAX_MODULUS_BITS, 3)],
+                         ids=["2^8", "3^10", "251", "2^4096"])
+def test_apply_outputs_are_canonical(p, s, n):
+    rng = random.Random(p + s + n)
+    mod = Modulus(p, s)
+    src, dst = (RingCtx(random_monic_irreducible(mod, n, rng)) for _ in range(2))
+    iso = build_ring_iso(src, dst, rng)
+    m = mod.m
+    edges = [[m // 2] * n, [-((m - 1) // 2)] * n, [m // 2, -((m - 1) // 2)] * n, [1], [-1], [0]]
+    for ctx, there, back in ((src, iso.apply, iso.apply_inverse), (dst, iso.apply_inverse, iso.apply)):
+        elems = [ctx.elem(cs[:n]) for cs in edges] + [ctx.random_elem(rng) for _ in range(20)]
+        for a in elems:
+            image = there(a)
+            assert _is_canonical(image) and back(image) == a
+            # the public constructor takes any integers of the same classes
+            assert there(RingElem(tuple(c + m * (i - 1) for i, c in enumerate(a.coeffs)), ctx)) == image
 
 
 def test_commutative_diagram():

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from griforge import gen_instance, run_attack
-from griforge.linalg import _row_reduce, mat_inv_mod
+from griforge.linalg import _row_reduce, mat_inv_mod, pack_rows, vec_mat
+from griforge.zmod import MAX_MODULUS_BITS, centered
 from helpers import det_fraction
 
 
@@ -30,6 +31,18 @@ def test_mat_inv_mod_singular_mod_p_only():
     """det 2 is nonzero mod 4 but not a unit: the same refusal as a singular matrix."""
     with pytest.raises(ValueError, match="not invertible modulo p"):
         mat_inv_mod([[2, 0], [0, 1]], 4, 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 9, 2**8, 3**10, 2**32, 2**MAX_MODULUS_BITS])
+def test_vec_mat_offset_covers_the_extreme_slot_sums(m):
+    # a centered v at either edge of its range against entries m - 1 gives the
+    # most negative and the most positive slot sums the offset and width allow for
+    lo, hi = -((m - 1) // 2), m // 2
+    for n in (1, 2, 24):
+        a = [[m - 1] * n for _ in range(n)]
+        for v in ([lo] * n, [hi] * n, [lo, hi] * (n // 2)):
+            want = [centered(sum(x * (m - 1) for x in v), m)] * n
+            assert vec_mat(v, pack_rows(a, m), m) == want, (m, n, v)
 
 
 def _random_combos(rng, p, m, count, n):
