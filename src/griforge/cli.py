@@ -328,7 +328,7 @@ def load_composite(text: str) -> tuple[CompositeCtx, CompositeCtx | None]:
     _reject_leftovers(fields)
     try:
         public = CompositeCtx.from_components(comps)
-    except GriforgeError as exc:
+    except (GriforgeError, ValueError) as exc:
         raise ValidationError(str(exc)) from None
     if public.m != m or public.f != _canon(combined, m):
         raise ValidationError("stored combined polynomial does not match its components")

@@ -111,13 +111,14 @@ class RingElem:
     """An element of GR(p^s, n), held as a coefficient tuple.
 
     The tuple is its representative of degree < n, ascending, centered
-    mod p^s and trimmed; zero is ().
+    mod p^s and trimmed (zero is ()); the constructor puts it in that form.
     """
 
     coeffs: tuple[int, ...]
     ctx: RingCtx
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", _canon(self.coeffs, self.ctx.m))
         if len(self.coeffs) > self.ctx.n:
             raise ValueError("representative out of canonical range")
 
@@ -194,7 +195,7 @@ class RingElem:
 
 
 def _wrap_elem(coeffs: tuple[int, ...], ctx: RingCtx) -> RingElem:
-    """A RingElem from coefficients a kernel already made canonical, without the length check.
+    """A RingElem from coefficients a kernel already made canonical, without canonicalizing again.
 
     It sets the fields as the frozen dataclass's own __init__ does, minus
     __post_init__, so equality, hash, repr and layout are the public
@@ -233,8 +234,6 @@ def hensel_iterates(g: Poly, alpha0: RingElem, ctx: RingCtx) -> list[RingElem]:
         raise NotASimpleRoot("g'(alpha0) is not a unit")
     beta = alpha0
     betas = [beta]
-    if not _in_ideal(val, 1):
-        raise InvariantBreach("g(beta_0) is not in (p)")
     for i in range(ctx.s - 1):
         if val.is_zero:
             betas += [beta] * (ctx.s - 1 - i)

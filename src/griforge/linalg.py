@@ -25,12 +25,10 @@ def pack_rows(a, m: int) -> tuple[tuple[int, ...], int, int]:
 def vec_mat(v, packed, m: int) -> list[int]:
     """v (zero-padded) times the square matrix pack_rows packed, centered mod m.
 
-    One sum of v_i * row_i over the offset; entries of v outside the
-    centered range are reduced first, so any integers are exact.
+    One sum of v_i * row_i over the offset. v must be centered mod m,
+    the range that pack_rows sizes the offset and slot width for.
     """
     rows, offset, w = packed
-    if v and (2 * max(v) > m or 2 * min(v) <= -m):
-        v = [centered(c, m) for c in v]
     return _unpack(sum(map(mul, v, rows), offset), w, len(rows), m)
 
 

@@ -20,6 +20,7 @@ long division.
 
 import random
 from itertools import zip_longest
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import ModulusMismatch
@@ -135,8 +136,8 @@ def _power(a, e, mul):
 
 
 def _canon(coeffs, m, f=None) -> tuple[int, ...]:
-    """coeffs centered mod m and trimmed, then reduced modulo the monic f when f is given."""
-    cs = _trim([centered(int(c), m) for c in coeffs])
+    """Integer coeffs centered mod m and trimmed, then reduced modulo the monic f if given."""
+    cs = _trim([centered(index(c), m) for c in coeffs])
     if f is not None and len(cs) >= len(f):
         cs = _raw_divmod(cs, f, m)[1]
     return tuple(cs)

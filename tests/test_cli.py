@@ -264,6 +264,13 @@ def test_crt_combine_command(tmp_path):
         load_composite("\n".join(tampered) + "\n")
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_load_composite_without_components_is_a_validation_error(count):
+    text = cli._render("composite", [("n", "2"), ("m", "1"), ("components", str(count)), ("F", "0,0,1")])
+    with pytest.raises(ValidationError, match="at least one"):
+        load_composite(text)
+
+
 def test_crt_combine_rejects_shared_prime(tmp_path, capsys):
     a = _gen(tmp_path, "a.txt", p=2, s=2, n=2, seed=1)
     b = _gen(tmp_path, "b.txt", p=2, s=3, n=2, seed=2)

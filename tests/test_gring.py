@@ -275,6 +275,7 @@ def test_packed_vec_mat_matches_plain_sum(m):
             v = [rng.randrange(-m, 2 * m) for _ in range(rng.randrange(n + 1))]
             cases.append((v, a))
     for v, a in cases:
+        v = [centered(c, m) for c in v]  # vec_mat takes centered vectors
         assert vec_mat(v, pack_rows(a, m), m) == plain(v, a), (v, a)
 
 
@@ -301,6 +302,25 @@ def test_kernel_built_elements_equal_public_ones():
     assert iso.apply_inverse(iso.apply(a)) == a
     with pytest.raises(ValueError, match="canonical range"):
         RingElem(tuple(range(1, src.n + 2)), src)
+
+
+def test_public_constructor_canonicalizes():
+    ctx = R16  # m = 4, n = 2
+    assert RingElem((4,), ctx).is_zero
+    assert RingElem((1, 0), ctx) == ctx.one() and hash(RingElem((1, 0), ctx)) == hash(ctx.one())
+    assert RingElem((1, 0, -8), ctx) == ctx.one()  # the length check is on the canonical tuple
+    assert RingElem((5,), ctx) == ctx.elem([5]) and RingElem((5,), ctx).coeffs == (1,)
+    assert hash(RingElem([1], ctx)) == hash(ctx.one())
+    with pytest.raises(ValueError, match="canonical range"):
+        RingElem((1, 2, 3), ctx)
+
+
+def test_canonical_form_takes_integers_only():
+    comp = CompositeCtx.from_components([R16, RingCtx(Poly([2, 2, 1], Modulus(3, 1)))])
+    for build in (lambda cs: Poly(cs, M4), R16.elem, comp.elem, lambda cs: RingElem(cs, R16)):
+        for bad in ([1.7], ["3"], [1, 0.0]):
+            with pytest.raises(TypeError):
+                build(bad)
 
 
 @pytest.mark.parametrize("p, s, n", [(2, 8, 6), (3, 10, 5), (251, 1, 4), (2, MAX_MODULUS_BITS, 3)],

@@ -1,10 +1,11 @@
-"""Package-wide invariants checked on the source text."""
+"""Package-wide invariants checked on the source text, and the README's library example."""
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "griforge"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "griforge"
 
 
 def test_no_runtime_dependencies():
@@ -28,3 +29,9 @@ def test_no_bare_asserts():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"
+
+
+def test_readme_library_example_runs(capsys):
+    block = (ROOT / "README.md").read_text().split("## Library example")[1].split("```python")[1]
+    exec(compile(block.split("```")[0], "README.md", "exec"), {})
+    assert "short candidates, gaussian heuristic" in capsys.readouterr().out

@@ -34,6 +34,12 @@ def _ints(m):
     )
 
 
+def _centered(m):
+    """An integer of the centered range of m, weighted towards its edges."""
+    lo, hi = -((m - 1) // 2), m // 2
+    return st.one_of(st.sampled_from([lo, hi, 0]), st.integers(min_value=lo, max_value=hi))
+
+
 @st.composite
 def _residue_lists(draw, max_len=12):
     m = draw(MODULI)
@@ -92,7 +98,7 @@ def _vector_and_matrix(draw, max_n=8):
     m = draw(MODULI)
     n = draw(st.integers(min_value=1, max_value=max_n))
     a = draw(st.lists(st.lists(_ints(m), min_size=n, max_size=n), min_size=n, max_size=n))
-    v = draw(st.lists(_ints(m), max_size=n))
+    v = draw(st.lists(_centered(m), max_size=n))  # vec_mat takes centered vectors
     return m, v, a
 
 
@@ -102,7 +108,7 @@ def _vector_and_matrix(draw, max_n=8):
 @example((4, [-1, 2], [[3, 3], [3, 3]]))  # both edges of an even m against entries m - 1
 @example((9, [-4, -4], [[8, 8], [8, 8]]))  # the most negative slot sums of an odd m
 @example((3**10, [3**10 // 2] * 4, [[-1] * 4] * 4))  # the most positive ones
-@example((2**32, [2**33 + 5, -(2**40)], [[-1, 7], [2**32, -(2**31)]]))  # entries out of range
+@example((2**32, [2**31, 1 - 2**31], [[-1, 7], [2**32, -(2**31)]]))  # matrix entries out of range
 def test_offset_vec_mat_matches_plain_sum(mva):
     m, v, a = mva
     assert vec_mat(v, pack_rows(a, m), m) == _plain_vec_mat(v, a, m)
