@@ -143,14 +143,20 @@ def oracle_strategy(secret: GriSecret, beta: int) -> Strategy:
     A uniform element pulls back to a uniform element, which lands in
     the box of sup-norm beta with probability ((2*beta+1)/p^s)^n, so
     at small beta this strategy is essentially always right. Coefficient
-    0 of a pull-back is cand . col0 mod p^s, so a first candidate of the
-    destination ring whose coefficient 0 already exceeds beta is skipped
-    without the full pull-back. The last candidate is not screened: the
-    full check decides it, and once the first is rejected the last is
-    almost always the short image, which the screen would let through.
+    0 of a pull-back is cand . col0 mod p^s, so a candidate of the
+    destination ring whose coefficient 0 already exceeds beta is screened
+    out: it cannot be short. A screened-out last candidate settles the
+    pair at 0 when the first is in the destination ring (either the
+    first is short or neither is), with no pull-back. Otherwise a
+    screened-out first candidate is skipped and full pull-backs decide,
+    so a game pair takes none when the uniform element comes last and
+    one when it comes first, unless its coefficient 0 is within beta.
     """
     iso, m = secret.iso, secret.iso.src.m
     col0 = [row[0] % m for row in iso.bwd]
+
+    def out(cand: RingElem) -> bool:
+        return cand.ctx is iso.dst and 0 <= beta < sum(map(mul, cand.coeffs, col0)) % m < m - beta
 
     def short(cand: RingElem) -> bool:
         cs = iso.apply_inverse(cand).coeffs
@@ -158,8 +164,7 @@ def oracle_strategy(secret: GriSecret, beta: int) -> Strategy:
 
     def guess(challenge: DecisionalChallenge) -> int:
         first, last = challenge.pair
-        screened = first.ctx is iso.dst and 0 <= beta < sum(map(mul, first.coeffs, col0)) % m < m - beta
-        if not screened and short(first):
+        if first.ctx is iso.dst and out(last) or not out(first) and short(first):
             return 0
         return int(short(last))
 

@@ -15,7 +15,7 @@ coefficient loops. Every product modulo a fixed monic f is `_mul_rem`,
 a packed product reduced by one packed vector-matrix product with the
 reduction matrix of f (`_rem_matrix`, built once by its owner), and
 every power is `_power` over such a product. `_raw_divmod` is the one
-long division.
+long division that returns a quotient.
 """
 
 import random
@@ -256,16 +256,21 @@ def is_irreducible_mod_p(f: Poly) -> bool:
     if not f.is_monic or f.degree < 1:
         raise ValueError("irreducibility test requires a monic polynomial of degree >= 1")
     p, n = f.modulus.p, f.degree
-    fb = [centered(c, p) for c in f.coeffs]
+    fb = [c % p for c in f.coeffs]
     red = _rem_matrix(fb, p)
-    x = [0, 1]
-    h = x  # x^(p^d) mod fbar after step d
+    h = [0, 1]  # x^(p^d) mod fbar after step d
     for _ in range(n // 2):
         h = _power(h, p, lambda a, b: _mul_rem(a, b, red, p))
-        a, b = fb, _raw_sub(h, x, p)
-        while b:
-            a, b = b, _raw_divmod(a, b, p)[1]
-        if len(a) != 1:
+        a, b = fb, [c % p for c in h] + [0] * (2 - len(h))
+        b[1] = (b[1] - 1) % p  # h - x, on residues in [0, p)
+        while len(_trim(b)) > 1:  # Euclid by remainders only, r unreduced until the end
+            r, inv, k = a[:], pow(b[-1], -1, p), len(b) - 1
+            for i in reversed(range(k, len(r))):
+                c = r[i] * inv % p
+                if c:
+                    r[i - k : i] = [x - c * y for x, y in zip(r[i - k : i], b)]
+            a, b = b, [c % p for c in r[:k]]
+        if not b:  # the last nonzero remainder a is not constant: a common factor
             return False
     return True
 

@@ -28,6 +28,7 @@ from griforge import (
 )
 from griforge.cli import serialize_instance
 from griforge.errors import BetaOutOfRange, BetaTooLarge, CtxMismatch
+from griforge.gring import Isomorphism
 from helpers import full_pullback_guess, reference_experiment
 
 
@@ -262,6 +263,31 @@ def test_oracle_ctx_equal_but_not_identical_and_foreign():
         guess(foreign)
     with pytest.raises(CtxMismatch):
         full_pullback_guess(inst.secret, 4, foreign)
+    # a uniform element of inst.dst is screened out, so a rule that did not
+    # check the first candidate's ring would answer 0 for (foreign, noise)
+    alien, noise = other.random_elem(rng), inst.dst.random_elem(rng)
+    for pair in ((alien, noise), (noise, alien)):
+        view = _pair(inst, *pair)
+        with pytest.raises(CtxMismatch):
+            guess(view)
+        with pytest.raises(CtxMismatch):
+            full_pullback_guess(inst.secret, 4, view)
+
+
+def test_oracle_pulls_back_only_a_uniform_first_candidate(monkeypatch):
+    rng = random.Random(26)
+    inst = gen_instance(2, 32, 24, 1, 12, rng)
+    guess = oracle_strategy(inst.secret, 1)
+    calls = []
+    pull_back = Isomorphism.apply_inverse
+    monkeypatch.setattr(Isomorphism, "apply_inverse", lambda iso, b: calls.append(b) or pull_back(iso, b))
+    counts = {0: set(), 1: set()}
+    for _ in range(400):
+        ch = challenge_from_instance(inst, rng)
+        before = len(calls)
+        assert guess(ch.public_view()) == ch.hidden_bit
+        counts[ch.hidden_bit].add(len(calls) - before)
+    assert counts == {0: {0}, 1: {1}}
 
 
 def test_challenge_beta_checked_on_every_use():
