@@ -8,11 +8,17 @@ composite polynomial and attack-report rows. Secret material always
 lives under keys prefixed `secret.`, so public exports can be checked
 mechanically.
 
-Exit codes: 0 success, 2 usage error, 3 validation error, 4 internal
-invariant breach. Untrusted n, k and n * bits(p) are bounded by MAX_N,
-MAX_K and MAX_N_BITS before any polynomial arithmetic, distinguisher
-trials by MAX_TRIALS, and `attack --delta` refuses exponent notation,
-so oversized input fails fast. beta and k get the bounds `sample` needs.
+Params and instance files share one ring-pair header (p, s, n, beta,
+k, F, secret.f, secret.phi_x), written by `_pair_text` and read by
+`_take_pair`; `_take` reads every field, so a bad one is a
+`ValidationError`.
+
+Exit codes: 0 success, 2 usage error, 3 validation error (also an
+unreadable input or unwritable output), 4 internal invariant breach.
+Untrusted n, k and n * bits(p) are bounded by MAX_N, MAX_K and
+MAX_N_BITS before any polynomial arithmetic, distinguisher trials by
+MAX_TRIALS, and `attack --delta` refuses exponent notation, so
+oversized input fails fast. beta and k get the bounds `sample` needs.
 
 The loaders return the rings and the isomorphism they validated
 (`ParamData.dst`/`src`/`iso`, `GriInstance`, `CompositeCtx`), and the
@@ -21,6 +27,7 @@ commands work on those objects, so no file is validated twice.
 
 import argparse
 import functools
+import math
 import os
 import random
 import sys
@@ -40,7 +47,7 @@ from .gri import (
 )
 from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso, iso_from_phi_x
 from .lattice import DEFAULT_DELTA, DEFAULT_GH_FACTOR, AttackReport, render_report, run_attack
-from .poly import Poly, _canon, eval_poly, random_monic_irreducible
+from .poly import Poly, _canon, random_monic_irreducible
 from .zmod import Modulus
 
 FORMAT_HEADER = "griforge 1"
@@ -56,13 +63,14 @@ MAX_N_BITS = 256
 # Generic field file reader/writer
 
 
-def _render(kind: str, fields: list[tuple[str, str]]) -> str:
+def _render(kind: str, fields: list[tuple[str, object]]) -> str:
     lines = [FORMAT_HEADER, f"kind: {kind}"]
     lines += [f"{key}: {value}" for key, value in fields]
     return "\n".join(lines) + "\n"
 
 
-def _parse_fields(text: str) -> tuple[str, dict[str, str]]:
+def _parse_fields(text: str, kind: str) -> dict[str, str]:
+    """The fields of a file of this kind, without the header and `kind` lines."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise ValidationError(f"missing or unknown version header, expected {FORMAT_HEADER!r}")
@@ -76,24 +84,10 @@ def _parse_fields(text: str) -> tuple[str, dict[str, str]]:
         if key in fields:
             raise ValidationError(f"duplicate field {key!r}")
         fields[key] = value.strip()
-    if "kind" not in fields:
-        raise ValidationError("missing 'kind' field")
-    return fields.pop("kind"), fields
-
-
-def _take_int(fields: dict[str, str], key: str) -> int:
-    if key not in fields:
-        raise ValidationError(f"missing field {key!r}")
-    try:
-        return int(fields.pop(key))
-    except ValueError:
-        raise ValidationError(f"field {key!r} is not an integer") from None
-
-
-def _take_opt_int(fields: dict[str, str], key: str) -> int | None:
-    if key not in fields:
-        return None
-    return _take_int({key: fields.pop(key)}, key)
+    found = fields.pop("kind", None)
+    if found != kind:
+        raise ValidationError(f"expected a {kind} file, got kind {found!r}")
+    return fields
 
 
 def _ints_text(values) -> str:
@@ -105,26 +99,50 @@ def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
-def _take_ints(fields: dict[str, str], key: str) -> list[int]:
+_REQUIRED = object()
+
+
+def _take(fields: dict[str, str], key: str, parse=int, default=_REQUIRED):
+    """Pops and parses one field, or returns `default` if given and the field is absent.
+
+    What `parse` raises (`ValueError`, `GriforgeError`) becomes a `ValidationError`."""
     if key not in fields:
-        raise ValidationError(f"missing field {key!r}")
+        if default is _REQUIRED:
+            raise ValidationError(f"missing field {key!r}")
+        return default
     try:
-        return _parse_ints(fields.pop(key))
-    except ValueError:
-        raise ValidationError(f"field {key!r} is not a polynomial") from None
-
-
-def _take_poly(fields: dict[str, str], key: str, modulus: Modulus) -> Poly:
-    return Poly(_take_ints(fields, key), modulus)
+        return parse(fields.pop(key))
+    except (GriforgeError, ValueError) as exc:
+        raise ValidationError(f"field {key!r}: {exc}") from None
 
 
 def _take_modulus(fields: dict[str, str], prefix: str = "") -> Modulus:
-    p = _take_int(fields, prefix + "p")
-    s = _take_int(fields, prefix + "s")
+    p = _take(fields, prefix + "p")
+    s = _take(fields, prefix + "s")
     try:
         return Modulus(p, s)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
+
+
+def _take_ring(fields: dict[str, str], key: str, modulus: Modulus, n: int,
+               default=_REQUIRED) -> RingCtx:
+    """The ring defined by a degree-n polynomial field; RingCtx validates it."""
+    def ring(text):
+        f = Poly(_parse_ints(text), modulus)
+        if f.degree != n:
+            raise ValidationError(f"must have degree {n}")
+        return RingCtx(f)
+
+    return _take(fields, key, ring, default)
+
+
+def _take_elems(fields: dict[str, str], prefix: str, ctx: RingCtx, k: int):
+    """Fields prefix.1 .. prefix.k as elements of ctx; RingElem checks their degree."""
+    return tuple(
+        _take(fields, f"{prefix}.{i}", lambda text: RingElem(_parse_ints(text), ctx))
+        for i in range(1, k + 1)
+    )
 
 
 def _check_size(n: int | None, k: int | None = None, p: int | None = None):
@@ -150,7 +168,7 @@ def _reject_leftovers(fields: dict[str, str]):
 
 
 # ---------------------------------------------------------------------------
-# Parameter files
+# Ring-pair files: params and instances
 
 
 @dataclass
@@ -163,119 +181,73 @@ class ParamData:
     iso: Isomorphism | None
 
 
-def serialize_params(data: ParamData) -> str:
-    dst = data.dst
-    fields = [("p", str(dst.p)), ("s", str(dst.s)), ("n", str(dst.n))]
-    if data.seed is not None:
-        fields.append(("seed", str(data.seed)))
-    if data.beta is not None:
-        fields.append(("beta", str(data.beta)))
-    if data.k is not None:
-        fields.append(("k", str(data.k)))
+def _pair_text(kind: str, dst: RingCtx, src: RingCtx | None, iso: Isomorphism | None,
+               optional, images=(), preimages=()) -> str:
+    """p, s, n, the `optional` (key, value) pairs that are not None, F, then
+    A.i, secret.f, secret.phi_x and secret.a.i for what is given."""
+    fields = [("p", dst.p), ("s", dst.s), ("n", dst.n)]
+    fields += [(key, value) for key, value in optional if value is not None]
     fields.append(("F", _ints_text(dst.f.coeffs)))
-    if data.src is not None:
-        fields.append(("secret.f", _ints_text(data.src.f.coeffs)))
-    if data.iso is not None:
-        fields.append(("secret.phi_x", _ints_text(data.iso.phi_x.coeffs)))
-    return _render("params", fields)
+    fields += [(f"A.{i}", _ints_text(a.coeffs)) for i, a in enumerate(images, start=1)]
+    if src is not None:
+        fields.append(("secret.f", _ints_text(src.f.coeffs)))
+    if iso is not None:
+        fields.append(("secret.phi_x", _ints_text(iso.phi_x.coeffs)))
+    fields += [(f"secret.a.{i}", _ints_text(a.coeffs)) for i, a in enumerate(preimages, start=1)]
+    return _render(kind, fields)
+
+
+def _take_pair(fields: dict[str, str], required: bool):
+    """(beta, k, dst, src, iso) from the shared header, all validated.
+
+    Without `required`, beta, k, secret.f and secret.phi_x may be absent;
+    with it, beta and k must be given, and secret.f brings secret.phi_x.
+    """
+    modulus = _take_modulus(fields)
+    n = _take(fields, "n")
+    default = _REQUIRED if required else None
+    beta, k = (_take(fields, key, int, default) for key in ("beta", "k"))
+    _check_size(n, k, modulus.p)
+    _check_beta_k(beta, k, modulus.m)
+    dst = _take_ring(fields, "F", modulus, n)
+    src = _take_ring(fields, "secret.f", modulus, n, None)
+    if src is None and "secret.phi_x" in fields:
+        raise ValidationError("secret.phi_x requires secret.f")
+    iso = None if src is None else _take(
+        fields, "secret.phi_x", lambda text: iso_from_phi_x(src, dst, dst.elem(_parse_ints(text))),
+        default)
+    return beta, k, dst, src, iso
+
+
+def serialize_params(data: ParamData) -> str:
+    optional = (("seed", data.seed), ("beta", data.beta), ("k", data.k))
+    return _pair_text("params", data.dst, data.src, data.iso, optional)
 
 
 def load_params(text: str) -> ParamData:
-    kind, fields = _parse_fields(text)
-    if kind != "params":
-        raise ValidationError(f"expected a params file, got kind {kind!r}")
-    modulus = _take_modulus(fields)
-    n = _take_int(fields, "n")
-    seed = _take_opt_int(fields, "seed")
-    beta = _take_opt_int(fields, "beta")
-    k = _take_opt_int(fields, "k")
-    _check_size(n, k, modulus.p)
-    _check_beta_k(beta, k, modulus.m)
-    big_f = _take_poly(fields, "F", modulus)
-    f = _take_poly(fields, "secret.f", modulus) if "secret.f" in fields else None
-    phi_x = _take_poly(fields, "secret.phi_x", modulus) if "secret.phi_x" in fields else None
+    fields = _parse_fields(text, "params")
+    seed = _take(fields, "seed", int, None)
+    data = ParamData(seed, *_take_pair(fields, required=False))
     _reject_leftovers(fields)
-    dst = _defining_ring(big_f, n, "F")
-    src = _defining_ring(f, n, "secret.f") if f is not None else None
-    iso = None
-    if phi_x is not None:
-        if src is None:
-            raise ValidationError("secret.phi_x requires secret.f")
-        iso = _checked_iso(src, dst, phi_x)
-    return ParamData(seed, beta, k, dst, src, iso)
-
-
-def _defining_ring(poly: Poly, n: int, label: str) -> RingCtx:
-    if poly.degree != n:
-        raise ValidationError(f"{label} must have degree {n}")
-    try:
-        return RingCtx(poly)
-    except (GriforgeError, ValueError) as exc:
-        raise ValidationError(f"{label}: {exc}") from None
-
-
-def _checked_iso(src: RingCtx, dst: RingCtx, phi_poly: Poly) -> Isomorphism:
-    try:
-        return iso_from_phi_x(src, dst, dst.elem(phi_poly.coeffs))
-    except GriforgeError as exc:
-        raise ValidationError(f"invalid phi_x: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# Instance files
+    return data
 
 
 def serialize_instance(inst: GriInstance, include_secret: bool = True) -> str:
-    params = inst.params
-    fields = [
-        ("p", str(params.p)),
-        ("s", str(params.s)),
-        ("n", str(params.n)),
-        ("beta", str(params.beta)),
-        ("k", str(params.k)),
-        ("F", _ints_text(inst.dst.f.coeffs)),
-    ]
-    for i, image in enumerate(inst.images, start=1):
-        fields.append((f"A.{i}", _ints_text(image.coeffs)))
-    if include_secret and inst.secret is not None:
-        fields.append(("secret.f", _ints_text(inst.secret.src.f.coeffs)))
-        fields.append(("secret.phi_x", _ints_text(inst.secret.iso.phi_x.coeffs)))
-        for i, pre in enumerate(inst.secret.preimages, start=1):
-            fields.append((f"secret.a.{i}", _ints_text(pre.coeffs)))
-    return _render("instance", fields)
+    secret = inst.secret if include_secret else None
+    src, iso, preimages = (secret.src, secret.iso, secret.preimages) if secret else (None, None, ())
+    optional = (("beta", inst.params.beta), ("k", inst.params.k))
+    return _pair_text("instance", inst.dst, src, iso, optional, inst.images, preimages)
 
 
 def load_instance(text: str) -> GriInstance:
-    kind, fields = _parse_fields(text)
-    if kind != "instance":
-        raise ValidationError(f"expected an instance file, got kind {kind!r}")
-    modulus = _take_modulus(fields)
-    n = _take_int(fields, "n")
-    beta = _take_int(fields, "beta")
-    k = _take_int(fields, "k")
-    _check_size(n, k, modulus.p)
-    _check_beta_k(beta, k, modulus.m)
-    dst = _defining_ring(_take_poly(fields, "F", modulus), n, "F")
-    images = tuple(
-        _take_elem(fields, f"A.{i}", dst) for i in range(1, k + 1)
-    )
+    fields = _parse_fields(text, "instance")
+    beta, k, dst, src, iso = _take_pair(fields, required=True)
+    images = _take_elems(fields, "A", dst, k)
     secret = None
-    if "secret.f" in fields:
-        src = _defining_ring(_take_poly(fields, "secret.f", modulus), n, "secret.f")
-        iso = _checked_iso(src, dst, _take_poly(fields, "secret.phi_x", modulus))
-        preimages = tuple(
-            _take_elem(fields, f"secret.a.{i}", src) for i in range(1, k + 1)
-        )
-        secret = GriSecret(src, iso, preimages)
+    if src is not None:
+        secret = GriSecret(src, iso, _take_elems(fields, "secret.a", src, k))
     _reject_leftovers(fields)
-    return GriInstance(GriParams(modulus.p, modulus.s, n, beta, k), dst, images, secret)
-
-
-def _take_elem(fields: dict[str, str], key: str, ctx: RingCtx) -> RingElem:
-    poly = _take_poly(fields, key, ctx.modulus)
-    if poly.degree >= ctx.n:
-        raise ValidationError(f"field {key!r} has degree >= n")
-    return RingElem(poly.coeffs, ctx)
+    return GriInstance(GriParams(dst.p, dst.s, dst.n, beta, k), dst, images, secret)
 
 
 # ---------------------------------------------------------------------------
@@ -303,44 +275,31 @@ def serialize_composite(public: CompositeCtx, secret: CompositeCtx | None) -> st
 def load_composite(text: str) -> tuple[CompositeCtx, CompositeCtx | None]:
     """Returns the public composite context and, when present, the secret one.
 
-    The combined polynomials are recomputed from the stored components
-    and must agree with the stored combination.
+    The stored m must be the product of the component moduli; `CompositeCtx`
+    then checks that the stored combined polynomial reduces to each component.
     """
-    kind, fields = _parse_fields(text)
-    if kind != "composite":
-        raise ValidationError(f"expected a composite file, got kind {kind!r}")
-    n = _take_int(fields, "n")
-    m = _take_int(fields, "m")
-    count = _take_int(fields, "components")
+    fields = _parse_fields(text, "composite")
+    n, m, count = (_take(fields, key) for key in ("n", "m", "components"))
     _check_size(n)
-    comps = []
-    secret_comps = []
+    comps, secret_comps = [], []
     for i in range(1, count + 1):
         modulus = _take_modulus(fields, f"component.{i}.")
         _check_size(n, p=modulus.p)
-        big_f = _take_poly(fields, f"component.{i}.F", modulus)
-        comps.append(_defining_ring(big_f, n, f"component.{i}.F"))
-        if f"secret.component.{i}.f" in fields:
-            f = _take_poly(fields, f"secret.component.{i}.f", modulus)
-            secret_comps.append(_defining_ring(f, n, f"secret.component.{i}.f"))
-    combined = _take_ints(fields, "F")
-    secret_combined = _take_ints(fields, "secret.f") if "secret.f" in fields else None
-    _reject_leftovers(fields)
-    try:
-        public = CompositeCtx.from_components(comps)
-    except (GriforgeError, ValueError) as exc:
-        raise ValidationError(str(exc)) from None
-    if public.m != m or public.f != _canon(combined, m):
-        raise ValidationError("stored combined polynomial does not match its components")
+        comps.append(_take_ring(fields, f"component.{i}.F", modulus, n))
+        secret_comps.append(_take_ring(fields, f"secret.component.{i}.f", modulus, n, None))
+    if m != math.prod(c.m for c in comps):  # before _canon, which divides by m
+        raise ValidationError(f"m = {m} is not the product of the component moduli")
+
+    def combined(rings):  # the reader of a stored combination of these rings
+        return lambda text: CompositeCtx(tuple(rings), _canon(_parse_ints(text), m))
+
+    public = _take(fields, "F", combined(comps))
     secret = None
-    if secret_comps:
-        if len(secret_comps) != count or secret_combined is None:
+    if "secret.f" in fields or any(secret_comps):
+        if None in secret_comps:
             raise ValidationError("incomplete secret component set")
-        secret = CompositeCtx.from_components(secret_comps)
-        if secret.f != _canon(secret_combined, m):
-            raise ValidationError("stored combined secret does not match its components")
-    elif secret_combined is not None:
-        raise ValidationError("secret.f present without secret components")
+        secret = _take(fields, "secret.f", combined(secret_comps))
+    _reject_leftovers(fields)
     return public, secret
 
 
@@ -406,8 +365,11 @@ def _write_out(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_gen_params(args) -> int:
@@ -428,10 +390,7 @@ def cmd_make_iso(args) -> int:
     data = load_params(_read_in(args.infile))
     if data.src is None:
         raise ValidationError("make-iso needs a params file carrying secret.f")
-    iso = build_ring_iso(data.src, data.dst, _rng(args))
-    if not eval_poly(data.src.f, iso.phi_x).is_zero:
-        raise InvariantBreach("constructed phi_x is not a root of f")
-    data.iso = iso
+    data.iso = build_ring_iso(data.src, data.dst, _rng(args))
     _write_out(args.out, serialize_params(data))
     return 0
 

@@ -23,8 +23,10 @@ from .zmod import centered
 
 def crt_ints(residues: Sequence[int], moduli: Sequence[int]) -> int:
     """Centered residue mod the product that matches every (residue, modulus)."""
-    x, m = residues[0] % moduli[0], moduli[0]
-    for r2, m2 in zip(residues[1:], moduli[1:]):
+    if not moduli:
+        raise ValueError("at least one modulus required")
+    x, m = 0, 1
+    for r2, m2 in zip(residues, moduli, strict=True):
         try:
             u = pow(m, -1, m2)
         except ValueError:

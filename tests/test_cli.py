@@ -220,6 +220,82 @@ def test_load_rejects_bad_header():
         load_params("not a griforge file\n")
 
 
+@pytest.fixture(scope="module")
+def files_of_each_kind(tmp_path_factory):
+    """A valid file of each kind: an iso params file at (2,3,4), an instance sampled
+    from it, the composite of it with a (3,1,4) params file, and the attack report."""
+    tmp = tmp_path_factory.mktemp("kinds")
+    paths = {kind: tmp / f"{kind}.txt" for kind in ("instance", "composite", "attack-report")}
+    paths["params"] = _iso(tmp)
+    other = _gen(tmp, "other.txt", p=3, s=1, n=4, seed=2)
+    for argv in (
+        ("sample", "--in", str(paths["params"]), "--beta", "1", "--k", "4", "--seed", "1",
+         "--out", str(paths["instance"])),
+        ("crt-combine", "--in", str(paths["params"]), "--in", str(other),
+         "--out", str(paths["composite"])),
+        ("attack", "--in", str(paths["instance"]), "--out", str(paths["attack-report"])),
+    ):
+        assert _run(*argv) == 0
+    return {kind: path.read_text() for kind, path in paths.items()}
+
+
+LOADERS = {"params": load_params, "instance": load_instance, "composite": load_composite}
+
+
+def _stored_m(rule):
+    def edit(text):
+        m = int(text.split("\nm: ")[1].split("\n")[0])
+        return text.replace(f"\nm: {m}\n", f"\nm: {rule(m)}\n")
+    return edit
+
+
+def _without_secret_f(text):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("secret.f: "))
+
+
+REFUSED = [
+    (loader, kind, None) for loader in LOADERS
+    for kind in ("params", "instance", "composite", "attack-report") if kind != loader
+] + [
+    ("composite", "composite", _stored_m(rule))
+    for rule in (lambda m: 0, lambda m: -m, lambda m: 1, lambda m: 2 * m)
+] + [(kind, kind, _without_secret_f) for kind in ("params", "instance")]
+
+
+@pytest.mark.parametrize(
+    "loader, kind, edit", REFUSED,
+    ids=[f"{loader}-reads-{kind}" for loader, kind, _ in REFUSED[:9]]
+    + ["m-0", "m-negated", "m-1", "m-doubled", "params-phi_x-without-f",
+       "instance-phi_x-without-f"],
+)
+def test_loaders_refuse_other_kinds_and_inconsistent_headers(files_of_each_kind, loader,
+                                                             kind, edit):
+    text = files_of_each_kind[kind]
+    if edit is not None:
+        assert LOADERS[loader](text)  # the unedited file loads
+        text, before = edit(text), text
+        assert text != before
+    with pytest.raises(ValidationError):
+        LOADERS[loader](text)
+
+
+@pytest.mark.parametrize("command", ["gen-params", "attack"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_3(tmp_path, capsys, command, target):
+    out = tmp_path / "missing" / "x.txt" if target == "missing-dir" else tmp_path
+    argv = ["gen-params", "--p", "2", "--s", "3", "--n", "4", "--seed", "1"]
+    if command == "attack":
+        pub = tmp_path / "pub.txt"
+        pub.write_text(serialize_instance(gen_instance(2, 3, 4, 1, 3, random.Random(1)),
+                                          include_secret=False))
+        argv = ["attack", "--in", str(pub)]
+    capsys.readouterr()
+    assert _run(*argv, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err and "Traceback" not in err
+
+
 def test_distinguish_random_band(tmp_path, capsys):
     params = _gen(tmp_path, p=2, s=3, n=2, seed=11, extra=("--beta", "1", "--k", "2"))
     iso_file = tmp_path / "iso.txt"

@@ -56,6 +56,13 @@ def test_crt_ints_roundtrip():
         assert v % 36 == x % 36
 
 
+@pytest.mark.parametrize("residues, moduli", [([1, 2], [4]), ([1], [4, 9]), ([], [])])
+def test_crt_ints_rejects_empty_or_mismatched_input(residues, moduli):
+    # a missing residue would otherwise pass for a residue mod the shorter product
+    with pytest.raises(ValueError):
+        crt_ints(residues, moduli)
+
+
 def test_split_combine_identity_500():
     ctx, rng = _composite(1)
     for _ in range(500):
