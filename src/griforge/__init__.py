@@ -10,7 +10,6 @@ reproducible experiments.
 from . import errors
 from .crt import (
     CompositeCtx,
-    CompositeElem,
     CompositeIsomorphism,
     build_composite_iso,
     crt_combine_elems,

@@ -18,7 +18,10 @@ unreadable input or unwritable output), 4 internal invariant breach.
 Untrusted n, k and n * bits(p) are bounded by MAX_N, MAX_K and
 MAX_N_BITS before any polynomial arithmetic, distinguisher trials by
 MAX_TRIALS, and `attack --delta` refuses exponent notation, so
-oversized input fails fast. beta and k get the bounds `sample` needs.
+oversized input fails fast. An input file is read only up to the
+length those bounds allow, and a ring field with more than n + 1
+entries is refused before any entry is parsed. beta and k get the
+bounds `sample` needs.
 
 The loaders return the rings and the isomorphism they validated
 (`ParamData.dst`/`src`/`iso`, `GriInstance`, `CompositeCtx`), and the
@@ -48,7 +51,7 @@ from .gri import (
 from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso, iso_from_phi_x
 from .lattice import DEFAULT_DELTA, DEFAULT_GH_FACTOR, AttackReport, render_report, run_attack
 from .poly import Poly, _canon, random_monic_irreducible
-from .zmod import Modulus
+from .zmod import MAX_MODULUS_BITS, Modulus
 
 FORMAT_HEADER = "griforge 1"
 SEED_ENV = "GRIFORGE_SEED"
@@ -57,6 +60,10 @@ MAX_K = 256
 MAX_TRIALS = 100_000
 # bound on n * p.bit_length(): an irreducibility test costs <= n/2 * log2(p) products, n/2 gcds
 MAX_N_BITS = 256
+# Bound on an input file's length, above the longest file the bounds allow: an instance with
+# secrets has 2k + 3 ring fields of at most n + 1 entries, each a sign, a comma and the digits
+# of a residue below p^s < 2^(2 * MAX_MODULUS_BITS); one more such line covers the rest.
+_MAX_IN_BYTES = (2 * MAX_K + 4) * (MAX_N + 1) * (len(str(1 << 2 * MAX_MODULUS_BITS)) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +102,10 @@ def _ints_text(values) -> str:
     return ",".join(map(str, values)) or "0"
 
 
-def _parse_ints(text: str) -> list[int]:
+def _parse_ints(text: str, n: int) -> list[int]:
+    """The entries of a ring field of degree n, refused before any is converted if above n + 1."""
+    if text.count(",") > n:
+        raise ValidationError(f"more than n + 1 = {n + 1} entries")
     return [int(tok) for tok in text.split(",")]
 
 
@@ -129,7 +139,7 @@ def _take_ring(fields: dict[str, str], key: str, modulus: Modulus, n: int,
                default=_REQUIRED) -> RingCtx:
     """The ring defined by a degree-n polynomial field; RingCtx validates it."""
     def ring(text):
-        f = Poly(_parse_ints(text), modulus)
+        f = Poly(_parse_ints(text, n), modulus)
         if f.degree != n:
             raise ValidationError(f"must have degree {n}")
         return RingCtx(f)
@@ -140,7 +150,7 @@ def _take_ring(fields: dict[str, str], key: str, modulus: Modulus, n: int,
 def _take_elems(fields: dict[str, str], prefix: str, ctx: RingCtx, k: int):
     """Fields prefix.1 .. prefix.k as elements of ctx; RingElem checks their degree."""
     return tuple(
-        _take(fields, f"{prefix}.{i}", lambda text: RingElem(_parse_ints(text), ctx))
+        _take(fields, f"{prefix}.{i}", lambda text: RingElem(_parse_ints(text, ctx.n), ctx))
         for i in range(1, k + 1)
     )
 
@@ -214,8 +224,8 @@ def _take_pair(fields: dict[str, str], required: bool):
     if src is None and "secret.phi_x" in fields:
         raise ValidationError("secret.phi_x requires secret.f")
     iso = None if src is None else _take(
-        fields, "secret.phi_x", lambda text: iso_from_phi_x(src, dst, dst.elem(_parse_ints(text))),
-        default)
+        fields, "secret.phi_x",
+        lambda text: iso_from_phi_x(src, dst, dst.elem(_parse_ints(text, n))), default)
     return beta, k, dst, src, iso
 
 
@@ -291,7 +301,7 @@ def load_composite(text: str) -> tuple[CompositeCtx, CompositeCtx | None]:
         raise ValidationError(f"m = {m} is not the product of the component moduli")
 
     def combined(rings):  # the reader of a stored combination of these rings
-        return lambda text: CompositeCtx(tuple(rings), _canon(_parse_ints(text), m))
+        return lambda text: CompositeCtx(tuple(rings), _canon(_parse_ints(text, n), m))
 
     public = _take(fields, "F", combined(comps))
     secret = None
@@ -355,10 +365,15 @@ def _rng(args) -> random.Random:
 
 def _read_in(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:  # by blocks: read(n) would allocate n bytes up front
+            data = bytearray()
+            while len(data) <= _MAX_IN_BYTES and (block := fh.read(1 << 16)):
+                data += block
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    if len(data) > _MAX_IN_BYTES:
+        raise ValidationError(f"{path} is longer than the bound of {_MAX_IN_BYTES} bytes")
+    return data.decode("utf-8")
 
 
 def _write_out(path: str, text: str):

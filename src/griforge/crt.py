@@ -2,11 +2,13 @@
 pairwise distinct characteristics.
 
 The modulus m is the product of the coprime component prime powers,
-f is the centered coefficient tuple that reduces to the component
-defining polynomial modulo each of them, and elements are centered
-coefficient tuples that split into component elements by
-coefficient-wise reduction. Arithmetic is the raw kernel of `poly`.
-Isomorphisms are transported componentwise: split, map, recombine.
+and f is the centered coefficient tuple that reduces to the component
+defining polynomial modulo each of them. A composite ring is a
+`gring._Quotient` like a Galois ring, so its elements are `RingElem`s
+(`RingElem.split` reduces one to its components) with the same
+arithmetic. A composite isomorphism is an `Isomorphism` whose phi_x and
+matrices are the CRT combination of the components' own: an image
+reduces mod each component modulus to that component's image.
 """
 
 import math
@@ -16,8 +18,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import DegreeMismatch, ModuliNotCoprime, ParamMismatch, ValidationError
-from .gring import Isomorphism, RingCtx, RingElem, build_ring_iso
-from .poly import Poly, _canon, _mul_rem, _raw_add, _raw_sub, _rem_matrix, _uniform
+from .gring import Isomorphism, RingCtx, RingElem, _Quotient, build_ring_iso
+from .poly import Poly, _canon
 from .zmod import centered
 
 
@@ -60,7 +62,7 @@ def _combine_vectors(vectors: Sequence[Sequence[int]], moduli: Sequence[int], wi
 
 
 @dataclass(frozen=True)
-class CompositeCtx:
+class CompositeCtx(_Quotient):
     """Z/mZ[x]/(f) presented by its Galois ring components; f is centered mod m."""
 
     components: tuple[RingCtx, ...]
@@ -94,52 +96,12 @@ class CompositeCtx:
     def n(self) -> int:
         return self.components[0].n
 
-    @cached_property
-    def _rem_matrix(self) -> tuple[int, int, tuple[int, ...]]:
-        return _rem_matrix(self.f, self.m)
-
-    def elem(self, coeffs) -> "CompositeElem":
-        return CompositeElem(_canon(coeffs, self.m, self.f), self)
-
-    def zero(self) -> "CompositeElem":
-        return CompositeElem((), self)
-
-    def one(self) -> "CompositeElem":
-        return self.elem([1])
-
-    def random_elem(self, rng: random.Random) -> "CompositeElem":
-        return CompositeElem(_uniform(rng, self.n, self.m), self)
+    _f_coeffs = property(lambda self: self.f)
+    _label = property(lambda self: " x ".join(c._label for c in self.components))
 
 
-@dataclass(frozen=True)
-class CompositeElem:
-    coeffs: tuple[int, ...]
-    ctx: CompositeCtx
-
-    def _same(self, other: "CompositeElem"):
-        if self.ctx != other.ctx:
-            raise ParamMismatch("elements of different composite rings")
-
-    def __add__(self, other):
-        self._same(other)
-        return CompositeElem(tuple(_raw_add(self.coeffs, other.coeffs, self.ctx.m)), self.ctx)
-
-    def __sub__(self, other):
-        self._same(other)
-        return CompositeElem(tuple(_raw_sub(self.coeffs, other.coeffs, self.ctx.m)), self.ctx)
-
-    def __mul__(self, other):
-        self._same(other)
-        ctx = self.ctx
-        return CompositeElem(tuple(_mul_rem(self.coeffs, other.coeffs, ctx._rem_matrix, ctx.m)), ctx)
-
-    def split(self) -> tuple[RingElem, ...]:
-        """Component elements by coefficient-wise reduction."""
-        return tuple(c.elem(self.coeffs) for c in self.ctx.components)
-
-
-def crt_combine_elems(parts: Sequence[RingElem], ctx: CompositeCtx) -> CompositeElem:
-    """Inverse of splitting: recombine one element per component."""
+def crt_combine_elems(parts: Sequence[RingElem], ctx: CompositeCtx) -> RingElem:
+    """Inverse of `RingElem.split`: recombine one element per component."""
     parts = list(parts)
     if len(parts) != len(ctx.components):
         raise ParamMismatch("one element per component required")
@@ -152,61 +114,31 @@ def crt_combine_elems(parts: Sequence[RingElem], ctx: CompositeCtx) -> Composite
 
 
 @dataclass(frozen=True)
-class CompositeIsomorphism:
-    """Componentwise transport of ring isomorphisms to the combined ring."""
+class CompositeIsomorphism(Isomorphism):
+    """An isomorphism of composite rings, with the component isomorphisms it combines."""
 
-    src: CompositeCtx
-    dst: CompositeCtx
     parts: tuple[Isomorphism, ...]  # aligned with src.components
     dst_index: tuple[int, ...]  # position of each part's target in dst.components
-
-    @property
-    def phi_x(self) -> CompositeElem:
-        """Combined image of x; reduces to each component image."""
-        vectors = [None] * len(self.parts)
-        for i, part in enumerate(self.parts):
-            vectors[self.dst_index[i]] = part.phi_x.coeffs
-        moduli = [c.m for c in self.dst.components]
-        return self.dst.elem(_combine_vectors(vectors, moduli, self.dst.n))
-
-    def _rearranged(self, results):
-        ordered = [None] * len(results)
-        for i, res in enumerate(results):
-            ordered[self.dst_index[i]] = res
-        return ordered
-
-    def apply(self, a: CompositeElem) -> CompositeElem:
-        if a.ctx != self.src:
-            raise ParamMismatch("element is not in the source ring")
-        images = [part.apply(x) for part, x in zip(self.parts, a.split())]
-        return crt_combine_elems(self._rearranged(images), self.dst)
-
-    def apply_inverse(self, a: CompositeElem) -> CompositeElem:
-        if a.ctx != self.dst:
-            raise ParamMismatch("element is not in the destination ring")
-        split = a.split()
-        preimages = [
-            part.apply_inverse(split[self.dst_index[i]]) for i, part in enumerate(self.parts)
-        ]
-        return crt_combine_elems(preimages, self.src)
 
 
 def build_composite_iso(
     src: CompositeCtx, dst: CompositeCtx, rng: random.Random
 ) -> CompositeIsomorphism:
-    """Pair components by (p, s), build each ring isomorphism, recombine."""
+    """Pair components by (p, s), build each ring isomorphism, and CRT-combine
+    their phi_x, fwd and bwd entrywise: part i keeps src component i's modulus."""
     if sorted((c.p, c.s, c.n) for c in src.components) != sorted(
         (c.p, c.s, c.n) for c in dst.components
     ):
         raise ParamMismatch("component parameter multisets differ")
-    parts = []
-    dst_index = []
-    for comp in src.components:
-        idx = next(
-            i
-            for i, d in enumerate(dst.components)
-            if (d.p, d.s) == (comp.p, comp.s)
-        )
-        parts.append(build_ring_iso(comp, dst.components[idx], rng))
-        dst_index.append(idx)
-    return CompositeIsomorphism(src, dst, tuple(parts), tuple(dst_index))
+    dst_index = tuple(
+        next(i for i, d in enumerate(dst.components) if (d.p, d.s) == (comp.p, comp.s))
+        for comp in src.components
+    )
+    parts = tuple(
+        build_ring_iso(comp, dst.components[i], rng) for comp, i in zip(src.components, dst_index)
+    )
+    moduli, n = [c.m for c in src.components], src.n
+    fwd = tuple(_combine_vectors(rows, moduli, n) for rows in zip(*(p.fwd for p in parts)))
+    bwd = tuple(_combine_vectors(rows, moduli, n) for rows in zip(*(p.bwd for p in parts)))
+    phi_x = dst.elem(_combine_vectors([p.phi_x.coeffs for p in parts], moduli, n))
+    return CompositeIsomorphism(src, dst, phi_x, fwd, bwd, parts, dst_index)

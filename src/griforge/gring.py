@@ -7,7 +7,8 @@ ring over fbar, so one type serves both. The reduction map onto it has
 kernel (p); an element is a unit exactly when its reduction is nonzero.
 An element is its coefficient tuple, centered mod p^s and trimmed, and
 its arithmetic calls the raw kernel of `poly` directly; the `Poly` f
-only defines the ring.
+only defines the ring. `_Quotient` holds what any Z/mZ[x]/(f) needs, so
+the composite rings of `crt` share `RingElem` and `Isomorphism`.
 """
 
 import operator
@@ -33,8 +34,29 @@ from .poly import _rem_matrix, _trim, _uniform, _wrap, eval_poly, is_irreducible
 from .zmod import Modulus
 
 
+class _Quotient:
+    """Z/mZ[x]/(f), f monic of degree n; a subclass supplies m, n, `_f_coeffs` and `_label`."""
+
+    @cached_property
+    def _rem_matrix(self) -> tuple[int, int, tuple[int, ...]]:
+        return _rem_matrix(self._f_coeffs, self.m)
+
+    def elem(self, coeffs) -> "RingElem":
+        """The class of the polynomial with these coefficients, in canonical form."""
+        return _wrap_elem(_canon(coeffs, self.m, self._f_coeffs), self)
+
+    def zero(self) -> "RingElem":
+        return _wrap_elem((), self)
+
+    def one(self) -> "RingElem":
+        return _wrap_elem((1,), self)
+
+    def random_elem(self, rng: random.Random) -> "RingElem":
+        return _wrap_elem(_uniform(rng, self.n, self.m), self)
+
+
 @dataclass(frozen=True)
-class RingCtx:
+class RingCtx(_Quotient):
     """A presentation (Z/p^sZ)[x]/(f) of GR(p^s, n); for s = 1 the field F_{p^n}."""
 
     f: Poly
@@ -57,9 +79,8 @@ class RingCtx:
             raise NotIrreducible(f"{self.f!r} is reducible")
         return self
 
-    @cached_property
-    def _rem_matrix(self) -> tuple[int, int, tuple[int, ...]]:
-        return _rem_matrix(self.f.coeffs, self.m)
+    _f_coeffs = property(lambda self: self.f.coeffs)
+    _label = property(lambda self: f"GR({self.modulus!r}, {self.n})")
 
     @property
     def modulus(self) -> Modulus:
@@ -81,16 +102,6 @@ class RingCtx:
     def n(self) -> int:
         return self.f.degree
 
-    def elem(self, coeffs) -> "RingElem":
-        """The class of the polynomial with these coefficients, in canonical form."""
-        return _wrap_elem(_canon(coeffs, self.m, self.f.coeffs), self)
-
-    def zero(self) -> "RingElem":
-        return _wrap_elem((), self)
-
-    def one(self) -> "RingElem":
-        return _wrap_elem((1,), self)
-
     def gen_class(self) -> "RingElem":
         """The class of the quotient variable (a constant when n = 1)."""
         if self.n == 1:
@@ -102,20 +113,18 @@ class RingCtx:
         for coeffs in product(range(self.m), repeat=self.n):
             yield self.elem(coeffs)
 
-    def random_elem(self, rng: random.Random) -> "RingElem":
-        return _wrap_elem(_uniform(rng, self.n, self.m), self)
-
 
 @dataclass(frozen=True)
 class RingElem:
-    """An element of GR(p^s, n), held as a coefficient tuple.
+    """An element of GR(p^s, n) or of a composite ring, held as a coefficient tuple.
 
     The tuple is its representative of degree < n, ascending, centered
-    mod p^s and trimmed (zero is ()); the constructor puts it in that form.
+    mod m and trimmed (zero is ()); the constructor puts it in that form.
+    `rep`, `reduce_mod_p` and `inv` need a `RingCtx`, `split` a composite ring.
     """
 
     coeffs: tuple[int, ...]
-    ctx: RingCtx
+    ctx: _Quotient
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _canon(self.coeffs, self.ctx.m))
@@ -157,6 +166,10 @@ class RingElem:
         ctx = self.ctx
         return _wrap_elem(tuple(_mul_rem(self.coeffs, other.coeffs, ctx._rem_matrix, ctx.m)), ctx)
 
+    def split(self) -> tuple["RingElem", ...]:
+        """The components of an element of a composite ring, by coefficient-wise reduction."""
+        return tuple(c.elem(self.coeffs) for c in self.ctx.components)
+
     def pow(self, e: int) -> "RingElem":
         if e < 0:
             return self.inv().pow(-e)
@@ -190,11 +203,10 @@ class RingElem:
         return z
 
     def __repr__(self):
-        modulus = self.ctx.modulus
-        return f"{_pretty(self.coeffs)} (mod {modulus!r}) in GR({modulus!r}, {self.ctx.n})"
+        return f"{_pretty(self.coeffs)} in {self.ctx._label}"
 
 
-def _wrap_elem(coeffs: tuple[int, ...], ctx: RingCtx) -> RingElem:
+def _wrap_elem(coeffs: tuple[int, ...], ctx: _Quotient) -> RingElem:
     """A RingElem from coefficients a kernel already made canonical, without canonicalizing again.
 
     It sets the fields as the frozen dataclass's own __init__ does, minus
@@ -259,11 +271,11 @@ class Isomorphism:
 
     fwd row i is the coefficient vector of phi_x^i in the destination
     presentation, so images are coefficient vectors times fwd; bwd is
-    the inverse matrix over Z/p^sZ.
+    the inverse matrix over Z/p^sZ (over Z/mZ between composite rings).
     """
 
-    src: RingCtx
-    dst: RingCtx
+    src: _Quotient
+    dst: _Quotient
     phi_x: RingElem
     fwd: tuple[tuple[int, ...], ...]
     bwd: tuple[tuple[int, ...], ...]
@@ -283,7 +295,7 @@ class Isomorphism:
         return _image(a, self._packed[1], self.src)
 
 
-def _image(a: RingElem, packed, ctx: RingCtx) -> RingElem:
+def _image(a: RingElem, packed, ctx: _Quotient) -> RingElem:
     """The element of ctx whose coefficient vector is a's times the packed matrix."""
     cs = _trim(linalg.vec_mat(a.coeffs, packed, ctx.m))  # centered, degree < n
     return _wrap_elem(tuple(cs), ctx)

@@ -104,8 +104,11 @@ def hnf_row_basis(rows) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def solve_in_basis(v, basis) -> list[int] | None:
-    """Integer coordinates of v in an echelon row basis, or None."""
+    """Integer coordinates of v in an echelon row basis, or None; ValueError if v is
+    not as long as the rows are wide."""
     res = list(map(int, v))
+    if basis and len(res) != len(basis[0]):
+        raise ValueError(f"vector of length {len(res)} against rows of width {len(basis[0])}")
     coords = []
     for row in basis:
         j = next(idx for idx, x in enumerate(row) if x)
@@ -120,6 +123,9 @@ def solve_in_basis(v, basis) -> list[int] | None:
 
 def in_lattice(v, rows) -> bool:
     """Exact membership of v in the lattice generated by the rows."""
+    rows = _validate_matrix(rows)
+    if len(v) != len(rows[0]):  # a zero lattice has no basis row to check v against
+        raise ValueError(f"vector of length {len(v)} against rows of width {len(rows[0])}")
     basis, _ = hnf_row_basis(rows)
     return solve_in_basis(v, basis) is not None
 

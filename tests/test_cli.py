@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from griforge.cli import (
     serialize_instance,
 )
 from griforge.errors import ValidationError
+from griforge.zmod import MAX_MODULUS_BITS
 
 
 def _run(*argv):
@@ -278,6 +280,59 @@ def test_loaders_refuse_other_kinds_and_inconsistent_headers(files_of_each_kind,
         assert text != before
     with pytest.raises(ValidationError):
         LOADERS[loader](text)
+
+
+RING_FIELDS = [("params", key) for key in ("F", "secret.f", "secret.phi_x")] + [
+    ("instance", key) for key in ("F", "secret.f", "secret.phi_x", "A.1", "secret.a.1")
+] + [("composite", key) for key in
+     ("component.1.F", "secret.component.1.f", "F", "secret.f")]
+
+
+@pytest.mark.parametrize("kind, key", RING_FIELDS, ids=[f"{k}-{f}" for k, f in RING_FIELDS])
+def test_ring_field_with_more_than_n_plus_1_entries_is_refused_unparsed(
+        tmp_path, capsys, files_of_each_kind, kind, key):
+    # n = 4; the entries are not integers, so the refusal comes before any is converted
+    text = files_of_each_kind[kind]
+    assert f"\n{key}: " in text
+    text = "".join(f"{key}: {','.join(['x'] * 6)}\n" if line.startswith(f"{key}: ") else line
+                   for line in text.splitlines(keepends=True))
+    message = f"field {key!r}: more than n + 1 = 5 entries"
+    if kind == "composite":  # no command reads a composite file
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_composite(text)
+        return
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    command = "make-iso" if kind == "params" else "attack"
+    assert _run(command, "--in", str(bad), "--out", str(tmp_path / "out.txt")) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_input_one_byte_over_the_length_bound_is_refused(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.touch()
+    os.truncate(big, cli._MAX_IN_BYTES + 1)  # sparse: NUL bytes that take no disk space
+    assert _run("make-iso", "--in", str(big), "--out", str(tmp_path / "iso.txt")) == 3
+    assert f"longer than the bound of {cli._MAX_IN_BYTES} bytes" in capsys.readouterr().err
+
+
+def test_input_length_bound_covers_the_longest_instance_file():
+    # the longest centered residue any accepted modulus has, and an upper bound on the
+    # length of an instance file at n = MAX_N and k = MAX_K whose every entry is that long
+    longest = max(len(str(p ** (MAX_MODULUS_BITS // (p.bit_length() - 1)) // 2))
+                  for p in (2, 3, 5, 7, 13, 31, 61, 127, 251, 65521))
+    entry = 1 + longest  # a minus sign and the digits
+    n, k = cli.MAX_N, cli.MAX_K
+
+    def line(key, count):
+        return len(f"{key}: ") + count * entry + count - 1 + 1
+
+    total = len(cli.FORMAT_HEADER) + 1 + len("kind: instance\n")
+    total += sum(line(key, 1) for key in ("p", "s", "n", "beta", "k"))
+    total += 2 * line("secret.f", n + 1) + line("secret.phi_x", n)
+    total += sum(line(f"secret.a.{i}", n) for i in range(1, k + 1)) * 2
+    assert total > 60_000_000  # p = 3, s = 4096
+    assert cli._MAX_IN_BYTES >= total
 
 
 @pytest.mark.parametrize("command", ["gen-params", "attack"])

@@ -4,6 +4,7 @@ import pytest
 
 from griforge import (
     CompositeCtx,
+    Isomorphism,
     Modulus,
     Poly,
     RingCtx,
@@ -14,7 +15,13 @@ from griforge import (
     is_irreducible_mod_p,
     random_monic_irreducible,
 )
-from griforge.errors import DegreeMismatch, ModuliNotCoprime, ParamMismatch, ValidationError
+from griforge.errors import (
+    CtxMismatch,
+    DegreeMismatch,
+    ModuliNotCoprime,
+    ParamMismatch,
+    ValidationError,
+)
 
 F1 = Poly([1, 1, 1], Modulus(2, 2))  # x^2 + x + 1 mod 4
 F2 = Poly([1, 0, 1], Modulus(3, 2))  # x^2 + 1 mod 9
@@ -166,3 +173,42 @@ def test_composite_components_order_independent():
     for _ in range(50):
         a = src.random_elem(rng)
         assert iso.apply_inverse(iso.apply(a)) == a
+
+
+def _three_component_iso():
+    src, rng = _composite(12, specs=((2, 3), (3, 2), (5, 1)), n=3)
+    dst, _ = _composite(13, specs=((5, 1), (2, 3), (3, 2)), n=3)
+    return src, dst, build_composite_iso(src, dst, rng)
+
+
+def test_composite_iso_is_the_crt_combination_of_its_parts():
+    src, dst, iso = _three_component_iso()
+    assert isinstance(iso, Isomorphism) and iso.dst_index == (1, 2, 0)
+    for i, part in enumerate(iso.parts):
+        m = src.components[i].m
+        assert m == dst.components[iso.dst_index[i]].m
+        for combined, own in ((iso.fwd, part.fwd), (iso.bwd, part.bwd)):
+            assert [[x % m for x in row] for row in combined] == [[x % m for x in row] for row in own]
+
+
+def test_composite_iso_pinned_values():
+    # recorded from the split-map-recombine construction this one replaced
+    src, dst, iso = _three_component_iso()
+    assert (src.f, dst.f, src.m) == ((23, 124, -59, 1), (91, -49, -50, 1), 360)
+    assert iso.phi_x.coeffs == (-1, -56, 9)
+    assert iso.apply(src.elem([1, 2, 3])).coeffs == (56, 125, -141)
+    assert iso.apply_inverse(dst.elem([1, 2, 3])).coeffs == (-96, 41, 102)
+
+
+def test_element_of_another_composite_ring_is_a_ctx_mismatch():
+    src, dst, iso = _three_component_iso()
+    a, b = src.one(), dst.one()
+    for op in (lambda: a + b, lambda: a * b, lambda: iso.apply(b), lambda: iso.apply_inverse(a)):
+        with pytest.raises(CtxMismatch):
+            op()
+
+
+def test_composite_element_repr():
+    ctx = CompositeCtx.from_components([RingCtx(F1), RingCtx(F2)])
+    assert repr(ctx.elem([5, 1])) == "x + 5 in GR(2^2, 2) x GR(3^2, 2)"
+    assert repr(RingCtx(F1).elem([1, 1])) == "x + 1 in GR(2^2, 2)"

@@ -174,6 +174,17 @@ def test_true_bj_vectors_lie_in_lattice():
         assert solve_in_basis(bj, basis) is not None
 
 
+@pytest.mark.parametrize("v", [[1, 0, 5], [1], []])
+def test_membership_rejects_a_vector_of_another_length(v):
+    # zip would drop the extra entries of [1, 0, 5] and call it a member
+    with pytest.raises(ValueError, match="width 2"):
+        in_lattice(v, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="width 2"):
+        solve_in_basis(v, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="width 2"):
+        in_lattice(v, [[0, 0]])  # a zero lattice has an empty echelon basis
+
+
 def test_extract_empty_when_nothing_short():
     assert extract_short_vectors([[100, 0], [0, 100]], 1) == []
 

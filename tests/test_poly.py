@@ -5,7 +5,7 @@ import pytest
 from griforge import Modulus, Poly, RingCtx, eval_poly, is_irreducible_mod_p
 from griforge import random_monic_irreducible
 from griforge.cli import _ints_text, _parse_ints
-from griforge.errors import ModulusMismatch
+from griforge.errors import ModulusMismatch, ValidationError
 from griforge.ffield import _tmul
 from griforge.poly import _canon, _mul_rem, _pack, _raw_add, _raw_mul, _rem_matrix, _rem_slots
 from griforge.zmod import MAX_MODULUS_BITS
@@ -250,16 +250,19 @@ def test_rem_mul_compatible():
 
 
 def test_text_roundtrip():
-    # the file format lives in cli: one integer-list writer and reader
+    # the file format lives in cli: one integer-list writer and reader, which takes
+    # the degree n of the ring a field belongs to and refuses more than n + 1 entries
     f = Poly([-3, 1, 0, 2], M8)
     assert _ints_text(f.coeffs) == "-3,1,0,2"
-    assert Poly(_parse_ints(_ints_text(f.coeffs)), M8) == f
+    assert Poly(_parse_ints(_ints_text(f.coeffs), 3), M8) == f
     assert _ints_text(Poly([], M8).coeffs) == "0"
-    assert Poly(_parse_ints("0"), M8) == Poly([], M8)
-    assert Poly(_parse_ints("5,-7"), M8) == Poly([-3, 1], M8)  # re-centered mod 8
+    assert Poly(_parse_ints("0", 3), M8) == Poly([], M8)
+    assert Poly(_parse_ints("5,-7", 3), M8) == Poly([-3, 1], M8)  # re-centered mod 8
     row = (0, -12, 0, 255, -1)  # an attack-report basis row keeps its zeros
     assert _ints_text(row) == "0,-12,0,255,-1"
-    assert tuple(_parse_ints(_ints_text(row))) == row
+    assert tuple(_parse_ints(_ints_text(row), 4)) == row
     for bad in ("", "1,,2", "1.5", "x"):
         with pytest.raises(ValueError):
-            _parse_ints(bad)
+            _parse_ints(bad, 3)
+    with pytest.raises(ValidationError, match=r"more than n \+ 1 = 4 entries"):
+        _parse_ints("1,2,3,4,x", 3)
