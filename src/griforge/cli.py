@@ -1,12 +1,13 @@
 """Command-line front end and the text serialization it speaks.
 
-Files are UTF-8, one `key: value` field per line after a version
-header, with polynomials rendered as ascending comma-separated
-centered coefficients. `_ints_text`/`_parse_ints` are the one writer
-and reader of that list format, for polynomials, the combined
-composite polynomial and attack-report rows. Secret material always
-lives under keys prefixed `secret.`, so public exports can be checked
-mechanically.
+Files are UTF-8, one `key: value` field per line after a version header,
+with polynomials rendered as ascending comma-separated centered
+coefficients. `_ints_text`/`_parse_ints` are the one writer and reader
+of that list format, for polynomials, the combined composite polynomial
+and attack-report rows. A composite ring is rebuilt from its component
+fields; its stored combined polynomial is only checked against them.
+Secret material always lives under keys prefixed `secret.`, so public
+exports can be checked mechanically.
 
 Params and instance files share one ring-pair header (p, s, n, beta,
 k, F, secret.f, secret.phi_x), written by `_pair_text` and read by
@@ -285,8 +286,8 @@ def serialize_composite(public: CompositeCtx, secret: CompositeCtx | None) -> st
 def load_composite(text: str) -> tuple[CompositeCtx, CompositeCtx | None]:
     """Returns the public composite context and, when present, the secret one.
 
-    The stored m must be the product of the component moduli; `CompositeCtx`
-    then checks that the stored combined polynomial reduces to each component.
+    The stored m must be the product of the component moduli, and each stored
+    combined polynomial, canonicalized mod m, the f its components determine.
     """
     fields = _parse_fields(text, "composite")
     n, m, count = (_take(fields, key) for key in ("n", "m", "components"))
@@ -301,7 +302,12 @@ def load_composite(text: str) -> tuple[CompositeCtx, CompositeCtx | None]:
         raise ValidationError(f"m = {m} is not the product of the component moduli")
 
     def combined(rings):  # the reader of a stored combination of these rings
-        return lambda text: CompositeCtx(tuple(rings), _canon(_parse_ints(text, n), m))
+        def parse(text):
+            f, ctx = _canon(_parse_ints(text, n), m), CompositeCtx(tuple(rings))
+            if f != ctx.f:
+                raise ValueError("not the CRT combination of the component polynomials")
+            return ctx
+        return parse
 
     public = _take(fields, "F", combined(comps))
     secret = None

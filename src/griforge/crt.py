@@ -1,9 +1,10 @@
 """Composite rings Z/mZ[x]/(f) glued from Galois ring components with
 pairwise distinct characteristics.
 
-The modulus m is the product of the coprime component prime powers,
-and f is the centered coefficient tuple that reduces to the component
-defining polynomial modulo each of them. A composite ring is a
+The modulus m is the product of the coprime component prime powers, and
+f is the centered coefficient tuple that reduces to the component
+defining polynomial modulo each of them. A `CompositeCtx` holds only its
+components and derives m and f from them. A composite ring is a
 `gring._Quotient` like a Galois ring, so its elements are `RingElem`s
 (`RingElem.split` reduces one to its components) with the same
 arithmetic. A composite isomorphism is an `Isomorphism` whose phi_x and
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import DegreeMismatch, ModuliNotCoprime, ParamMismatch, ValidationError
+from .errors import DegreeMismatch, ModuliNotCoprime, ParamMismatch
 from .gring import Isomorphism, RingCtx, RingElem, _Quotient, build_ring_iso
-from .poly import Poly, _canon
+from .poly import Poly
 from .zmod import centered
 
 
@@ -63,30 +64,21 @@ def _combine_vectors(vectors: Sequence[Sequence[int]], moduli: Sequence[int], wi
 
 @dataclass(frozen=True)
 class CompositeCtx(_Quotient):
-    """Z/mZ[x]/(f) presented by its Galois ring components; f is centered mod m."""
+    """Z/mZ[x]/(f) presented by its Galois ring components, which determine m and f."""
 
     components: tuple[RingCtx, ...]
-    f: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.components:
-            raise ValueError("at least one component required")
-        primes = [c.p for c in self.components]
-        if len(set(primes)) != len(primes):
-            raise ModuliNotCoprime("component characteristics share a prime")
-        if len({c.n for c in self.components}) != 1:
-            raise DegreeMismatch("components differ in degree")
-        if len(self.f) != self.n + 1 or self.f[-1] != 1 or _canon(self.f, self.m) != self.f:
-            raise ValidationError("combined polynomial has the wrong shape")
-        for c in self.components:
-            if _canon(self.f, c.m) != c.f.coeffs:
-                raise ValidationError("combined polynomial does not match a component")
+        self.f  # crt_combine_polys refuses no components, mixed degrees and shared primes
 
     @classmethod
     def from_components(cls, components: Sequence[RingCtx]) -> "CompositeCtx":
-        components = tuple(components)
-        f = crt_combine_polys([c.f for c in components])
-        return cls(components, f)
+        return cls(tuple(components))
+
+    @cached_property
+    def f(self) -> tuple[int, ...]:
+        """The coefficients of f, centered mod m: the CRT combination of the component f."""
+        return crt_combine_polys([c.f for c in self.components])
 
     @cached_property
     def m(self) -> int:

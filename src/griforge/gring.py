@@ -30,7 +30,7 @@ from .errors import (
 )
 from .ffield import find_root
 from .poly import Poly, _canon, _fp_inv, _mul_rem, _power, _pretty, _raw_add, _raw_sub
-from .poly import _rem_matrix, _trim, _uniform, _wrap, eval_poly, is_irreducible_mod_p
+from .poly import _rem_matrix, _trim, _uniform, eval_poly, is_irreducible_mod_p
 from .zmod import Modulus
 
 
@@ -104,9 +104,7 @@ class RingCtx(_Quotient):
 
     def gen_class(self) -> "RingElem":
         """The class of the quotient variable (a constant when n = 1)."""
-        if self.n == 1:
-            return self.elem([-self.f.coeffs[0]])
-        return _wrap_elem((0, 1), self)
+        return self.elem((0, 1))
 
     def elements(self):
         """All p^(s*n) elements; intended for small brute-force checks."""
@@ -119,8 +117,10 @@ class RingElem:
     """An element of GR(p^s, n) or of a composite ring, held as a coefficient tuple.
 
     The tuple is its representative of degree < n, ascending, centered
-    mod m and trimmed (zero is ()); the constructor puts it in that form.
-    `rep`, `reduce_mod_p` and `inv` need a `RingCtx`, `split` a composite ring.
+    mod m and trimmed (zero is ()); the constructor puts it in that
+    form. `rep`, `reduce_mod_p`, `is_unit`, `inv` and negative powers
+    need a `RingCtx`, `split` a composite ring; the other kind raises
+    `CtxMismatch`.
     """
 
     coeffs: tuple[int, ...]
@@ -134,7 +134,13 @@ class RingElem:
     @property
     def rep(self) -> Poly:
         """The representative as a `Poly` over Z/p^sZ, for callers outside the package."""
-        return _wrap(self.coeffs, self.ctx.modulus)
+        return Poly(self.coeffs, self._ctx_of_kind(galois=True).modulus)
+
+    def _ctx_of_kind(self, galois: bool):
+        if isinstance(self.ctx, RingCtx) != galois:
+            kind = "a Galois" if galois else "a composite"
+            raise CtxMismatch(f"needs an element of {kind} ring, not of {self.ctx._label}")
+        return self.ctx
 
     def _same(self, other: "RingElem"):
         if self.ctx != other.ctx:
@@ -168,7 +174,7 @@ class RingElem:
 
     def split(self) -> tuple["RingElem", ...]:
         """The components of an element of a composite ring, by coefficient-wise reduction."""
-        return tuple(c.elem(self.coeffs) for c in self.ctx.components)
+        return tuple(c.elem(self.coeffs) for c in self._ctx_of_kind(galois=False).components)
 
     def pow(self, e: int) -> "RingElem":
         if e < 0:
@@ -177,7 +183,8 @@ class RingElem:
 
     def reduce_mod_p(self) -> "RingElem":
         """Image under the reduction map onto the residue field."""
-        return _wrap_elem(_canon(self.coeffs, self.ctx.p), self.ctx.residue_field)
+        ctx = self._ctx_of_kind(galois=True)
+        return _wrap_elem(_canon(self.coeffs, ctx.p), ctx.residue_field)
 
     def is_unit(self) -> bool:
         return not self.reduce_mod_p().is_zero

@@ -57,15 +57,16 @@ def build_attack_lattice(images, modulus: Modulus) -> list[list[int]]:
 def hnf_row_basis(rows) -> tuple[list[list[int]], list[list[int]]]:
     """Echelon basis of the integer row lattice, plus its transform.
 
-    Returns (basis, t) with basis = t @ rows, produced by unimodular
-    row operations only (swaps, negations, integer row additions), so
-    the basis generates exactly the same lattice. Pivots are positive
-    and sit on strictly increasing columns; entries above a pivot are
-    reduced into [0, pivot).
+    Returns (basis, t) with basis = t @ rows, produced by unimodular row
+    operations only (swaps, negations, integer row additions), so the
+    basis generates exactly the same lattice. Pivots are positive and
+    sit on strictly increasing columns; entries above a pivot are
+    reduced into [0, pivot). t rides along as nr identity columns
+    appended to the rows.
     """
     a = _validate_matrix(rows)
     nr, nc = len(a), len(a[0])
-    t = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    a = [row + [int(i == j) for j in range(nr)] for i, row in enumerate(a)]
     r = 0
     for col in range(nc):
         if r == nr:
@@ -76,17 +77,14 @@ def hnf_row_basis(rows) -> tuple[list[list[int]], list[list[int]]]:
                 break
             i0 = min(nz, key=lambda i: abs(a[i][col]))
             a[r], a[i0] = a[i0], a[r]
-            t[r], t[i0] = t[i0], t[r]
             if a[r][col] < 0:
                 a[r] = [-x for x in a[r]]
-                t[r] = [-x for x in t[r]]
             done = True
             for i in range(r + 1, nr):
                 if a[i][col]:
                     q = a[i][col] // a[r][col]
                     if q:
                         a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                        t[i] = [x - q * y for x, y in zip(t[i], t[r])]
                     if a[i][col]:
                         done = False
             if done:
@@ -96,11 +94,10 @@ def hnf_row_basis(rows) -> tuple[list[list[int]], list[list[int]]]:
                 q = a[i][col] // a[r][col]
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    t[i] = [x - q * y for x, y in zip(t[i], t[r])]
             r += 1
-    if any(any(a[i]) for i in range(r, nr)):
+    if any(any(a[i][:nc]) for i in range(r, nr)):
         raise InvariantBreach("echelon form left a nonzero row below the pivots")
-    return a[:r], t[:r]
+    return [row[:nc] for row in a[:r]], [row[nc:] for row in a[:r]]
 
 
 def solve_in_basis(v, basis) -> list[int] | None:

@@ -3,25 +3,27 @@
 Coefficients are stored ascending by degree in centered form with
 trailing zeros trimmed; the zero polynomial has an empty coefficient
 tuple and degree -1. `_canon` builds that form, reducing modulo a monic
-f on request, for `Poly`, the ring elements of `gring` and `crt` and
-the CLI loaders; `_uniform` draws a uniform element in it directly.
-`Poly` plays the defining-polynomial role: f and fbar of a ring
-presentation, their derivative, the irreducibility test and sampling.
-Element arithmetic is the private kernel on flat integer lists, shared
-by the rings, the residue field, root finding and the composite rings.
-Bulk products are Kronecker-packed: `_pack`/`_unpack` put residues in
-bit slots wide enough that one big-integer multiply replaces the
-coefficient loops. Every product modulo a fixed monic f is `_mul_rem`,
-a packed product reduced by one packed vector-matrix product with the
-reduction matrix of f (`_rem_matrix`, built once by its owner), and
-every power is `_power` over such a product. `_raw_divmod` is the one
-long division that returns a quotient.
+f on request, for `Poly`, the ring elements of `gring` and `crt` and the
+CLI loaders; `_uniform` draws a uniform element in it directly. `Poly`,
+a frozen dataclass whose constructor canonicalizes, plays the
+defining-polynomial role: f and fbar of a ring presentation, their
+derivative, the irreducibility test and sampling. Element arithmetic is
+the private kernel on flat integer lists, shared by the rings, the
+residue field, root finding and the composite rings. Bulk products are
+Kronecker-packed: `_pack`/`_unpack` put residues in bit slots wide
+enough that one big-integer multiply replaces the coefficient loops.
+Every product modulo a fixed monic f is `_mul_rem`, a packed product
+reduced by one packed vector-matrix product with the reduction matrix of
+f (`_rem_matrix`, built once by its owner), and every power is `_power`
+over such a product. `_raw_divmod` is the one long division that returns
+a quotient.
 """
 
 import random
+from dataclasses import dataclass
 from itertools import zip_longest
 from operator import index
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ModulusMismatch
 from .zmod import Modulus, centered, draws, invmod
@@ -168,14 +170,15 @@ def _fp_inv(a, p, fb):
     return _raw_mul(u0, [invmod(r0[0], p)], p)
 
 
+@dataclass(frozen=True, slots=True)
 class Poly:
-    """A defining polynomial over Z/p^sZ in canonical form; its arithmetic is the raw kernel."""
+    """A defining polynomial over Z/p^sZ; the constructor makes its coefficients canonical."""
 
-    __slots__ = ("coeffs", "modulus")
+    coeffs: tuple[int, ...]
+    modulus: Modulus
 
-    def __init__(self, coeffs: Iterable[int], modulus: Modulus):
-        self.coeffs = _canon(coeffs, modulus.m)
-        self.modulus = modulus
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _canon(self.coeffs, self.modulus.m))
 
     @property
     def degree(self) -> int:
@@ -186,32 +189,14 @@ class Poly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def derivative(self) -> "Poly":
-        cs = [centered(i * c, self.modulus.m) for i, c in enumerate(self.coeffs)]
-        return _wrap(_trim(cs[1:]), self.modulus)
+        return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.modulus)
 
     def reduce_mod_p(self) -> "Poly":
         """Coefficient-wise reduction into F_p; result lives modulo (p, 1)."""
         return Poly(self.coeffs, self.modulus.residue)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.coeffs == other.coeffs
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.modulus))
-
     def __repr__(self):
         return f"{_pretty(self.coeffs)} (mod {self.modulus!r})"
-
-
-def _wrap(raw: list[int], modulus: Modulus) -> Poly:
-    p = Poly.__new__(Poly)
-    p.coeffs = tuple(raw)
-    p.modulus = modulus
-    return p
 
 
 def _pretty(coeffs: Sequence[int], var: str = "x") -> str:

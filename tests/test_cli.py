@@ -457,6 +457,81 @@ def test_crt_combine_inputs_do_not_carry_over(tmp_path):
     assert [comp.p for comp in load_composite(ac.read_text())[0].components] == [2, 5]
 
 
+
+def _composite_text():
+    """A composite file of x^2 + x + 1 mod 4 and x^2 + 1 mod 9, whose F and secret.f are 1,9,1."""
+    comps = [griforge.RingCtx(griforge.Poly(f, griforge.Modulus(p, 2)))
+             for f, p in (([1, 1, 1], 2), ([1, 0, 1], 3))]
+    ctx = griforge.CompositeCtx.from_components(comps)
+    return cli.serialize_composite(ctx, ctx)
+
+
+@pytest.mark.parametrize("key", ["F", "secret.f"])
+@pytest.mark.parametrize("stored, refusal", [
+    ("1,9,1", None), ("37,9,1", None), ("1,9,37", None),
+    ("1,9", "not the CRT combination"), ("1,10,1", "not the CRT combination"),
+    ("1,9,1,0", "more than n + 1"),
+])
+def test_load_composite_checks_each_stored_f_against_its_components(key, stored, refusal):
+    before = _composite_text()
+    text = before.replace(f"\n{key}: 1,9,1\n", f"\n{key}: {stored}\n")
+    assert (text == before) == (stored == "1,9,1")
+    if refusal is None:  # canonicalized mod 36, the stored value is the f of the components
+        public, secret = load_composite(text)
+        assert public.f == secret.f == (1, 9, 1) and public.m == 36
+    else:
+        with pytest.raises(ValidationError, match=re.escape(f"field {key!r}: {refusal}")):
+            load_composite(text)
+
+
+def test_load_composite_refuses_a_partial_secret_component_set():
+    text = "".join(line for line in _composite_text().splitlines(keepends=True)
+                   if not line.startswith("secret.component.2.f: "))
+    with pytest.raises(ValidationError, match="incomplete secret component set"):
+        load_composite(text)
+
+
+CLI_REFUSALS_AND_DEFAULTS = {
+    "unreadable-in": (["make-iso", "--in", "{missing}"], None, 3, "cannot read"),
+    "out-defaults-to-stdout": (["gen-params", "--p", "2", "--s", "1", "--n", "2", "--seed", "1"],
+                               None, 0, "griforge 1\nkind: params\np: 2\n"),
+    "seed-env-not-an-integer": (["gen-params", "--p", "2", "--s", "1", "--n", "2"], "seven", 3,
+                                "GRIFORGE_SEED must be an integer"),
+    "sample-without-beta-and-k": (["sample", "--in", "{params}"], None, 3,
+                                  "beta and k must come from flags or the params file"),
+    "sample-without-k": (["sample", "--in", "{params}", "--beta", "1"], None, 3,
+                         "beta and k must come from flags or the params file"),
+    "delta-abc": (["attack", "--delta", "abc", "--in", "{instance}"], None, 3,
+                  "cannot parse delta 'abc'"),
+    "delta-1/0": (["attack", "--delta", "1/0", "--in", "{instance}"], None, 3,
+                  "cannot parse delta '1/0'"),
+    "crt-combine-one-in": (["crt-combine", "--in", "{params}"], None, 3,
+                           "crt-combine needs at least two input files"),
+    "blank-line-in-a-file": (["make-iso", "--in", "{blank}", "--seed", "5"], None, 0,
+                             "\nsecret.phi_x: "),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_REFUSALS_AND_DEFAULTS))
+def test_cli_refusals_and_defaults(tmp_path, capsys, monkeypatch, files_of_each_kind, case):
+    argv, seed_env, code, expected = CLI_REFUSALS_AND_DEFAULTS[case]
+    params = files_of_each_kind["params"]  # no beta or k
+    paths = {"missing": tmp_path / "missing.txt"}
+    for name, text in (("params", params), ("instance", files_of_each_kind["instance"]),
+                       ("blank", params.replace("\nn: ", "\n\n  \nn: ", 1))):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    if seed_env is None:
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.SEED_ENV, seed_env)
+    capsys.readouterr()
+    assert _run(*(arg.format(**paths) for arg in argv)) == code
+    out, err = capsys.readouterr()
+    assert expected in (out if code == 0 else err)
+    assert "Traceback" not in err
+
+
 def _readme_chain():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     block = readme.read_text().split("## CLI walkthrough")[1].split("```sh")[1].split("```")[0]

@@ -20,7 +20,6 @@ from griforge.errors import (
     DegreeMismatch,
     ModuliNotCoprime,
     ParamMismatch,
-    ValidationError,
 )
 
 F1 = Poly([1, 1, 1], Modulus(2, 2))  # x^2 + x + 1 mod 4
@@ -96,12 +95,9 @@ def test_composite_ctx_validations():
         CompositeCtx.from_components(
             [RingCtx(F1), RingCtx(Poly([1, 2, 0, 1], Modulus(3, 2)))]
         )
-    comps = (RingCtx(F1), RingCtx(F2))
-    assert CompositeCtx(comps, (1, 9, 1)).m == 36
-    # f must be the centered, monic degree-n combination of the components
-    for f in [(37, 9, 1), (1, 9, 1, 0), (1, 9, 37), (1, 9), (1, 10, 1)]:
-        with pytest.raises(ValidationError):
-            CompositeCtx(comps, f)
+    # m and f are derived from the components: f the centered, monic degree-n combination
+    ctx = CompositeCtx((RingCtx(F1), RingCtx(F2)))
+    assert (ctx.m, ctx.f) == (36, (1, 9, 1))
 
 
 def test_composite_combined_poly_cross_check():
@@ -212,3 +208,37 @@ def test_composite_element_repr():
     ctx = CompositeCtx.from_components([RingCtx(F1), RingCtx(F2)])
     assert repr(ctx.elem([5, 1])) == "x + 5 in GR(2^2, 2) x GR(3^2, 2)"
     assert repr(RingCtx(F1).elem([1, 1])) == "x + 1 in GR(2^2, 2)"
+
+
+GALOIS_ONLY = {
+    "rep": lambda e: e.rep,
+    "reduce_mod_p": lambda e: e.reduce_mod_p(),
+    "is_unit": lambda e: e.is_unit(),
+    "inv": lambda e: e.inv(),
+    "pow-1": lambda e: e.pow(-1),
+}
+
+
+@pytest.mark.parametrize("name", [*GALOIS_ONLY, "split"])
+def test_a_method_for_the_other_kind_of_ring_is_a_ctx_mismatch(name):
+    if name == "split":
+        elem, call, kind = RingCtx(F1).elem([1, 1]), lambda e: e.split(), "a composite"
+    else:
+        ctx = CompositeCtx.from_components([RingCtx(F1), RingCtx(F2)])
+        elem, call, kind = ctx.elem([5, 1]), GALOIS_ONLY[name], "a Galois"
+    with pytest.raises(CtxMismatch, match=f"needs an element of {kind} ring"):
+        call(elem)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ctx, parts: crt_combine_polys([]), ValueError, "at least one"),
+    (lambda ctx, parts: crt_combine_polys([F1, Poly([1, 0, 2], Modulus(3, 2))]), ValueError,
+     "monic"),
+    (lambda ctx, parts: crt_combine_elems(parts[:1], ctx), ParamMismatch,
+     "one element per component"),
+    (lambda ctx, parts: crt_combine_elems(parts[::-1], ctx), ParamMismatch, "wrong ring"),
+], ids=["no-polys", "non-monic", "elems-wrong-count", "elems-wrong-ring"])
+def test_combine_refusals(call, error, message):
+    ctx = CompositeCtx.from_components([RingCtx(F1), RingCtx(F2)])
+    with pytest.raises(error, match=message):
+        call(ctx, ctx.elem([5, 1]).split())

@@ -425,3 +425,15 @@ def test_reduce_to_ffi_public_only():
     inst = gen_instance(5, 2, 2, 1, 2, random.Random(18)).public_only()
     red = reduce_to_ffi(inst)
     assert red.secret is None and red.params.s == 1
+
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda inst: instance_from_iso(inst.secret.iso, 1, 0, random.Random(1)), "k must be >= 1"),
+    (lambda inst: run_distinguisher_experiment(
+        inst.params._replace(k=2), random_guess_strategy(random.Random(1)), 10,
+        random.Random(2), instance=inst), "does not match the parameters"),
+], ids=["k-0", "instance-of-other-params"])
+def test_instance_and_experiment_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(gen_instance(2, 3, 4, 1, 3, random.Random(5)))

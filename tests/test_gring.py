@@ -434,3 +434,26 @@ def test_serialization_roundtrip_via_phi_x():
     iso = build_ring_iso(src, dst, rng)
     rebuilt = iso_from_phi_x(src, dst, iso.phi_x)
     assert rebuilt.fwd == iso.fwd and rebuilt.bwd == iso.bwd
+
+
+def test_negative_powers_are_powers_of_the_inverse():
+    rng = random.Random(3)
+    units = [a for a in (R16.random_elem(rng) for _ in range(40)) if a.is_unit()]
+    assert units
+    for a in units:
+        assert a.pow(-2) * a.pow(2) == R16.one() and a.pow(-1) == a.inv()
+
+
+R16_OTHER = RingCtx(Poly([-1, 1, 1], M4))  # Z_4[y]/(y^2+y-1), the same ring presented again
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RingCtx(Poly([1, 1, 2], M4)), ValueError, "monic"),
+    (lambda: hensel_iterates(R16.f, R16_OTHER.gen_class(), R16), CtxMismatch, "target ring"),
+    (lambda: iso_from_phi_x(R16, R16_OTHER, R16.gen_class()), CtxMismatch, "destination ring"),
+    (lambda: ring_iso_from_field_root(R16, R16_OTHER, R16_OTHER.gen_class()), CtxMismatch,
+     "residue field"),
+], ids=["non-monic-f", "hensel-other-ring", "phi_x-other-ring", "root-not-in-residue-field"])
+def test_ring_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

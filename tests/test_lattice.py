@@ -278,3 +278,22 @@ def test_run_attack_past_float_range(s, beta):
     else:
         assert gh == math.inf and report.shortness_ratio == 0.0
     assert report.full_recovery and report.candidates
+
+
+def test_solve_in_basis_of_a_non_member_is_none():
+    basis = hnf_row_basis([[2, 0], [0, 3]])[0]
+    assert solve_in_basis([2, 3], basis) == [1, 1]
+    assert solve_in_basis([1, 3], basis) is None and solve_in_basis([2, 1], basis) is None
+    assert not in_lattice([2, 1], [[2, 0], [0, 3]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_attack_lattice([], Modulus(2, 3)), "at least one image"),
+    (lambda: hnf_row_basis([]), "empty matrix"),
+    (lambda: hnf_row_basis([[]]), "rectangular and non-empty"),
+    (lambda: lll_reduce([[1, 2], [3]]), "rectangular and non-empty"),
+    (lambda: in_lattice([1], [[]]), "rectangular and non-empty"),
+], ids=["no-images", "no-rows", "zero-width", "ragged", "zero-width-membership"])
+def test_empty_and_ragged_matrices_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

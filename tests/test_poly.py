@@ -266,3 +266,23 @@ def test_text_roundtrip():
             _parse_ints(bad, 3)
     with pytest.raises(ValidationError, match=r"more than n \+ 1 = 4 entries"):
         _parse_ints("1,2,3,4,x", 3)
+
+
+def test_poly_is_a_frozen_canonical_value():
+    f = Poly([5, 1, 1, 0], M4)
+    assert f == Poly(coeffs=(1, 1, 1), modulus=M4) and f.coeffs == (1, 1, 1)
+    assert hash(f) == hash(((1, 1, 1), M4)) and repr(f) == "x^2 + x + 1 (mod 2^2)"
+    assert f != Poly([1, 1, 1], Modulus(2, 1)) and f != (1, 1, 1)
+    assert f.derivative() == Poly([1, 2], M4) and Poly([3], M9).derivative() == Poly([], M9)
+    with pytest.raises(AttributeError):
+        f.coeffs = ()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_irreducible_mod_p(Poly([1, 1, 2], M9)),
+    lambda: is_irreducible_mod_p(Poly([1], M9)),
+    lambda: random_monic_irreducible(M9, 0, random.Random(0)),
+], ids=["non-monic", "degree-0", "random-degree-0"])
+def test_irreducibility_refusals(call):
+    with pytest.raises(ValueError, match="degree"):
+        call()
