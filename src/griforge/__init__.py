@@ -19,13 +19,11 @@ from .crt import (
 from .ffield import find_root
 from .gri import (
     ChiBeta,
-    DecisionalChallenge,
     ExperimentReport,
     GriInstance,
     GriParams,
     GriSecret,
     challenge_from_instance,
-    gen_decisional,
     gen_instance,
     instance_from_iso,
     oracle_strategy,

@@ -256,7 +256,7 @@ def load_instance(text: str) -> GriInstance:
     images = _take_elems(fields, "A", dst, k)
     secret = None
     if src is not None:
-        secret = GriSecret(src, iso, _take_elems(fields, "secret.a", src, k))
+        secret = GriSecret(iso, _take_elems(fields, "secret.a", src, k))
     _reject_leftovers(fields)
     return GriInstance(GriParams(dst.p, dst.s, dst.n, beta, k), dst, images, secret)
 

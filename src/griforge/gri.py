@@ -1,10 +1,12 @@
 """GRI problem instances: sampling short elements, public images,
-decisional challenges, and the distinguisher experiment harness.
+decisional pairs, and the distinguisher experiment harness.
 
 An instance is a pair of secretly isomorphic ring presentations
 together with the public images of k short source elements. The
 decisional game presents one image of a short element next to one
-uniform element and asks which is which.
+uniform element and asks which is which. The instance is public before
+any pair is drawn, so a strategy takes what it reads of the instance
+when it is built and is then called with the pair alone.
 """
 
 import math
@@ -48,9 +50,12 @@ class ChiBeta:
 
 @dataclass(frozen=True)
 class GriSecret:
-    src: RingCtx
     iso: Isomorphism
     preimages: tuple[RingElem, ...]
+
+    @property
+    def src(self) -> RingCtx:
+        return self.iso.src
 
 
 @dataclass(frozen=True)
@@ -61,11 +66,7 @@ class GriInstance:
     secret: GriSecret | None
 
     def public_only(self) -> "GriInstance":
-        return self if self.secret is None else self._public
-
-    @cached_property
-    def _public(self) -> "GriInstance":
-        return replace(self, secret=None)
+        return self if self.secret is None else replace(self, secret=None)
 
     @cached_property
     def _chi(self) -> ChiBeta:
@@ -80,7 +81,7 @@ def instance_from_iso(iso: Isomorphism, beta: int, k: int, rng: random.Random) -
     preimages = tuple(chi.sample(rng) for _ in range(k))
     images = tuple(iso.apply(a) for a in preimages)
     params = GriParams(iso.src.p, iso.src.s, iso.src.n, beta, k)
-    return GriInstance(params, iso.dst, images, GriSecret(iso.src, iso, preimages))
+    return GriInstance(params, iso.dst, images, GriSecret(iso, preimages))
 
 
 def gen_instance(p: int, s: int, n: int, beta: int, k: int, rng: random.Random) -> GriInstance:
@@ -97,44 +98,25 @@ def gen_instance(p: int, s: int, n: int, beta: int, k: int, rng: random.Random) 
     return instance_from_iso(iso, beta, k, rng)
 
 
-@dataclass(frozen=True)
-class DecisionalChallenge:
-    """A pair in the destination ring, exactly one being a short image.
-
-    hidden_bit is the index of the image inside the pair; it is None
-    in the public view handed to distinguishers.
-    """
-
-    instance: GriInstance
-    pair: tuple[RingElem, RingElem]
-    hidden_bit: int | None
-
-    def public_view(self) -> "DecisionalChallenge":
-        return DecisionalChallenge(self.instance.public_only(), self.pair, None)
-
-
-def challenge_from_instance(inst: GriInstance, rng: random.Random) -> DecisionalChallenge:
-    """A fresh decisional pair over an existing instance (needs the secret)."""
+def challenge_from_instance(
+    inst: GriInstance, rng: random.Random
+) -> tuple[tuple[RingElem, RingElem], int]:
+    """A fresh decisional pair over an existing instance (needs the secret),
+    exactly one member being a short image, and the index of that image."""
     if inst.secret is None:
         raise ValueError("challenge generation requires the instance secret")
     image = inst.secret.iso.apply(inst._chi.sample(rng))
     noise = inst.dst.random_elem(rng)
     bit = draws(rng, 1, 2)[0]  # rng.randrange(2)
-    pair = (image, noise) if bit == 0 else (noise, image)
-    return DecisionalChallenge(inst, pair, bit)
+    return ((image, noise) if bit == 0 else (noise, image)), bit
 
 
-def gen_decisional(params: GriParams, rng: random.Random) -> DecisionalChallenge:
-    """A fresh instance together with one decisional pair over it."""
-    return challenge_from_instance(gen_instance(*params, rng), rng)
-
-
-Strategy = Callable[[DecisionalChallenge], int]
+Strategy = Callable[[tuple[RingElem, RingElem]], int]
 
 
 def random_guess_strategy(rng: random.Random) -> Strategy:
-    """Baseline: ignore the challenge, flip a coin."""
-    return lambda challenge: rng.randrange(2)
+    """Baseline: ignore the pair, flip a coin."""
+    return lambda pair: rng.randrange(2)
 
 
 def oracle_strategy(secret: GriSecret, beta: int) -> Strategy:
@@ -162,8 +144,8 @@ def oracle_strategy(secret: GriSecret, beta: int) -> Strategy:
         cs = iso.apply_inverse(cand).coeffs
         return not cs or -beta <= min(cs) and max(cs) <= beta
 
-    def guess(challenge: DecisionalChallenge) -> int:
-        first, last = challenge.pair
+    def guess(pair: tuple[RingElem, RingElem]) -> int:
+        first, last = pair
         if first.ctx is iso.dst and out(last) or not out(first) and short(first):
             return 0
         return int(short(last))
@@ -182,6 +164,8 @@ class ExperimentReport:
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
+    if trials < 1 or not 0 <= successes <= trials:
+        raise ValueError(f"need trials >= 1 and 0 <= successes <= trials, got {successes}/{trials}")
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -196,14 +180,14 @@ def run_distinguisher_experiment(
     rng: random.Random,
     instance: GriInstance | None = None,
 ) -> ExperimentReport:
-    """Empirical success rate of a distinguisher over fresh challenges.
+    """Empirical success rate of a distinguisher over fresh pairs.
 
-    One instance is generated (or supplied) and fresh pairs are drawn
-    per trial, each from a derived independent stream: one generator,
-    reseeded from rng per trial, which leaves it in the state of a new
-    Random with that seed. The hidden bits are independent fair coins,
-    so the report is order-insensitive and a blind guesser converges to
-    1/2.
+    One instance is generated (or supplied), and the distinguisher is
+    called with a fresh pair per trial, each drawn from a derived
+    independent stream: one generator, reseeded from rng per trial,
+    which leaves it in the state of a new Random with that seed. The
+    hidden bits are independent fair coins, so the report is
+    order-insensitive and a blind guesser converges to 1/2.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -214,8 +198,8 @@ def run_distinguisher_experiment(
     stream = random.Random(0)
     for _ in range(trials):
         stream.seed(rng.getrandbits(64))
-        challenge = challenge_from_instance(inst, stream)
-        if distinguisher(challenge.public_view()) == challenge.hidden_bit:
+        pair, bit = challenge_from_instance(inst, stream)
+        if distinguisher(pair) == bit:
             successes += 1
     low, high = wilson_interval(successes, trials)
     return ExperimentReport(trials, successes, successes / trials, low, high)
@@ -241,6 +225,6 @@ def reduce_to_ffi(inst: GriInstance) -> GriInstance:
         for before, after in zip(inst.secret.preimages, preimages):
             if before.coeffs != after.coeffs:
                 raise InvariantBreach("preimage changed under reduction mod p")
-        secret_bar = GriSecret(src_bar, iso_bar, preimages)
+        secret_bar = GriSecret(iso_bar, preimages)
     params = inst.params._replace(s=1)
     return GriInstance(params, dst_bar, images, secret_bar)

@@ -161,10 +161,13 @@ def lll_reduce(rows, delta=DEFAULT_DELTA) -> list[list[int]]:
     LLL of de Weger (Cohen, Alg. 2.6.7): it keeps the Gram determinants
     d_i and lam_ij = d_{j+1} * mu_ij, so every test is on integers.
     """
-    delta = Fraction(delta)
-    if not (Fraction(1, 4) < delta < 1):
+    try:
+        frac = Fraction(delta)
+    except (TypeError, ValueError, OverflowError):  # inf, nan, a non-number
+        frac = None
+    if frac is None or not Fraction(1, 4) < frac < 1:
         raise BadDelta(f"delta must lie in (1/4, 1), got {delta}")
-    num, den = delta.numerator, delta.denominator
+    num, den = frac.numerator, frac.denominator
     basis = [r for r in _validate_matrix(rows) if any(r)]
     if not basis:
         return []

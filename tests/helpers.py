@@ -8,7 +8,6 @@ from itertools import product
 
 from griforge import (
     ChiBeta,
-    DecisionalChallenge,
     ExperimentReport,
     Poly,
     centered,
@@ -118,10 +117,10 @@ def randrange_monic_irreducible(modulus, n, rng):
             return f
 
 
-def full_pullback_guess(secret, beta, challenge):
+def full_pullback_guess(secret, beta, pair):
     """The oracle distinguisher as first written: pull each candidate back in full and
     return the index of the first whose coefficients all lie in [-beta, beta], else 0."""
-    for idx, cand in enumerate(challenge.pair):
+    for idx, cand in enumerate(pair):
         if all(abs(c) <= beta for c in secret.iso.apply_inverse(cand).coeffs):
             return idx
     return 0
@@ -139,8 +138,7 @@ def reference_experiment(params, distinguisher, trials, rng, instance=None):
         noise = randrange_elem(inst.dst, stream)
         bit = stream.randrange(2)
         pair = (image, noise) if bit == 0 else (noise, image)
-        challenge = DecisionalChallenge(inst, pair, bit)
-        if distinguisher(challenge.public_view()) == challenge.hidden_bit:
+        if distinguisher(pair) == bit:
             successes += 1
     low, high = wilson_interval(successes, trials)
     return ExperimentReport(trials, successes, successes / trials, low, high)

@@ -8,7 +8,6 @@ import pytest
 
 from griforge import (
     ChiBeta,
-    DecisionalChallenge,
     ExperimentReport,
     GriParams,
     Modulus,
@@ -16,7 +15,6 @@ from griforge import (
     RingCtx,
     RingElem,
     challenge_from_instance,
-    gen_decisional,
     gen_instance,
     instance_from_iso,
     oracle_strategy,
@@ -96,7 +94,7 @@ def test_public_only_strips_secret():
     pub = inst.public_only()
     assert pub.secret is None
     assert pub.images == inst.images
-    assert inst.public_only() is pub and pub.public_only() is pub  # one view per instance
+    assert inst.public_only() == pub and pub.public_only() is pub
     with pytest.raises(ValueError):
         challenge_from_instance(pub, random.Random(0))
 
@@ -117,10 +115,10 @@ def test_seeded_streams_are_pinned(cell, after_gen, after_sample, after_challeng
     assert rng.getrandbits(64) == after_gen
     again = instance_from_iso(inst.secret.iso, cell[3], cell[4], rng)
     assert rng.getrandbits(64) == after_sample
-    challenge = challenge_from_instance(inst, rng)
+    pair, _ = challenge_from_instance(inst, rng)
     assert rng.getrandbits(64) == after_challenge
     text = serialize_instance(inst) + serialize_instance(again)
-    text += repr([e.coeffs for e in challenge.pair])
+    text += repr([e.coeffs for e in pair])
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
@@ -128,7 +126,7 @@ def test_decisional_hidden_bit_balanced():
     inst = gen_instance(2, 3, 2, 1, 2, random.Random(6))
     rng = random.Random(7)
     trials = 10_000
-    ones = sum(challenge_from_instance(inst, rng).hidden_bit for _ in range(trials))
+    ones = sum(challenge_from_instance(inst, rng)[1] for _ in range(trials))
     sigma = math.sqrt(trials * 0.25)
     assert abs(ones - trials / 2) <= 3 * sigma
 
@@ -137,19 +135,9 @@ def test_decisional_image_member_is_short_via_secret():
     inst = gen_instance(3, 2, 3, 1, 2, random.Random(8))
     rng = random.Random(9)
     for _ in range(50):
-        ch = challenge_from_instance(inst, rng)
-        image = ch.pair[ch.hidden_bit]
+        pair, bit = challenge_from_instance(inst, rng)
+        image = pair[bit]
         assert inst.secret.iso.apply_inverse(image).sup_norm() <= 1
-
-
-def test_gen_decisional_fresh_instance():
-    from griforge import GriParams
-
-    ch = gen_decisional(GriParams(2, 2, 2, 1, 3), random.Random(10))
-    assert ch.hidden_bit in (0, 1)
-    assert ch.instance.secret is not None
-    view = ch.public_view()
-    assert view.hidden_bit is None and view.instance.secret is None
 
 
 def test_random_guess_rate_near_half():
@@ -203,12 +191,8 @@ def test_oracle_matches_full_pullback_on_seeded_challenges(cell):
     beta = cell[3]
     guess = oracle_strategy(inst.secret, beta)
     for _ in range(500):
-        view = challenge_from_instance(inst, rng).public_view()
-        assert guess(view) == full_pullback_guess(inst.secret, beta, view)
-
-
-def _pair(inst, a, b):
-    return DecisionalChallenge(inst.public_only(), (a, b), None)
+        pair, _ = challenge_from_instance(inst, rng)
+        assert guess(pair) == full_pullback_guess(inst.secret, beta, pair)
 
 
 def test_oracle_matches_full_pullback_on_crafted_pairs():
@@ -227,8 +211,8 @@ def test_oracle_matches_full_pullback_on_crafted_pairs():
         (long1, noise): 0,
     }
     for (a, b), want in cases.items():
-        assert guess(_pair(inst, a, b)) == want
-        assert full_pullback_guess(secret, beta, _pair(inst, a, b)) == want
+        assert guess((a, b)) == want
+        assert full_pullback_guess(secret, beta, (a, b)) == want
 
 
 @pytest.mark.parametrize("p, s, n", [(2, 2, 2), (5, 1, 2), (3, 2, 2)])
@@ -242,7 +226,7 @@ def test_oracle_matches_full_pullback_on_every_pair_and_beta(p, s, n):
         guess = oracle_strategy(inst.secret, beta)
         for a in elems:
             for b in elems:
-                pair = _pair(inst, a, b)
+                pair = (a, b)
                 assert guess(pair) == full_pullback_guess(inst.secret, beta, pair)
 
 
@@ -253,12 +237,12 @@ def test_oracle_ctx_equal_but_not_identical_and_foreign():
     twin = RingCtx(Poly(inst.dst.f.coeffs, inst.dst.modulus))
     assert twin == inst.dst and twin is not inst.dst
     for _ in range(200):
-        ch = challenge_from_instance(inst, rng)
-        view = _pair(inst, *(RingElem(e.coeffs, twin) for e in ch.pair))
-        assert guess(view) == full_pullback_guess(inst.secret, 4, view) == ch.hidden_bit
+        pair, bit = challenge_from_instance(inst, rng)
+        view = tuple(RingElem(e.coeffs, twin) for e in pair)
+        assert guess(view) == full_pullback_guess(inst.secret, 4, view) == bit
     other = gen_instance(3, 10, 8, 4, 12, random.Random(23)).dst
     assert other != inst.dst
-    foreign = _pair(inst, other.random_elem(rng), inst.images[0])
+    foreign = (other.random_elem(rng), inst.images[0])
     with pytest.raises(CtxMismatch):
         guess(foreign)
     with pytest.raises(CtxMismatch):
@@ -267,11 +251,10 @@ def test_oracle_ctx_equal_but_not_identical_and_foreign():
     # check the first candidate's ring would answer 0 for (foreign, noise)
     alien, noise = other.random_elem(rng), inst.dst.random_elem(rng)
     for pair in ((alien, noise), (noise, alien)):
-        view = _pair(inst, *pair)
         with pytest.raises(CtxMismatch):
-            guess(view)
+            guess(pair)
         with pytest.raises(CtxMismatch):
-            full_pullback_guess(inst.secret, 4, view)
+            full_pullback_guess(inst.secret, 4, pair)
 
 
 def test_oracle_pulls_back_only_a_uniform_first_candidate(monkeypatch):
@@ -283,10 +266,10 @@ def test_oracle_pulls_back_only_a_uniform_first_candidate(monkeypatch):
     monkeypatch.setattr(Isomorphism, "apply_inverse", lambda iso, b: calls.append(b) or pull_back(iso, b))
     counts = {0: set(), 1: set()}
     for _ in range(400):
-        ch = challenge_from_instance(inst, rng)
+        pair, bit = challenge_from_instance(inst, rng)
         before = len(calls)
-        assert guess(ch.public_view()) == ch.hidden_bit
-        counts[ch.hidden_bit].add(len(calls) - before)
+        assert guess(pair) == bit
+        counts[bit].add(len(calls) - before)
     assert counts == {0: {0}, 1: {1}}
 
 
@@ -296,7 +279,7 @@ def test_challenge_beta_checked_on_every_use():
     for _ in range(2):
         with pytest.raises(BetaOutOfRange):
             challenge_from_instance(bad, random.Random(25))
-    assert challenge_from_instance(inst, random.Random(25)).pair
+    assert challenge_from_instance(inst, random.Random(25))[0]
 
 
 def test_trials_precondition():
@@ -304,7 +287,7 @@ def test_trials_precondition():
 
     with pytest.raises(ValueError):
         run_distinguisher_experiment(
-            GriParams(2, 2, 2, 1, 2), lambda ch: 0, 0, random.Random(0)
+            GriParams(2, 2, 2, 1, 2), lambda pair: 0, 0, random.Random(0)
         )
 
 
@@ -334,14 +317,14 @@ def _recorded_experiment(run, cell, strategy, trials=200):
     inner = {
         "oracle": oracle_strategy(secret, beta),
         "random-guess": random_guess_strategy(random.Random(7)),
-        "recording": lambda challenge: 0,
+        "recording": lambda pair: 0,
     }[strategy]
     seen = hashlib.sha256()
 
-    def recorder(challenge):
-        short = [secret.iso.apply_inverse(e).sup_norm() <= beta for e in challenge.pair]
-        seen.update(repr(([e.coeffs for e in challenge.pair], short)).encode())
-        return inner(challenge)
+    def recorder(pair):
+        short = [secret.iso.apply_inverse(e).sup_norm() <= beta for e in pair]
+        seen.update(repr(([e.coeffs for e in pair], short)).encode())
+        return inner(pair)
 
     rng = random.Random(31)
     report = run(GriParams(*cell), recorder, trials, rng, instance=inst)
@@ -374,6 +357,21 @@ def test_experiment_is_pinned(cell, strategy, successes, after, digest):
     assert _recorded_experiment(reference_experiment, cell, strategy) == (report, after, digest)
 
 
+def test_strategy_sees_only_the_pair():
+    inst = _experiment_instance((2, 8, 6, 1, 12))
+    seen = []
+
+    def recorder(pair):
+        seen.append(pair)
+        return 0
+
+    run_distinguisher_experiment(inst.params, recorder, 50, random.Random(3), instance=inst)
+    assert len(seen) == 50
+    for pair in seen:
+        assert type(pair) is tuple and len(pair) == 2
+        assert all(type(e) is RingElem and e.ctx is inst.dst for e in pair)
+
+
 def test_experiment_generating_its_instance_matches_reference():
     params = GriParams(2, 8, 6, 1, 12)
     runs = []
@@ -389,6 +387,9 @@ def test_wilson_interval_sane():
     assert 0.40 < low < 0.5 < high < 0.60
     low, high = wilson_interval(0, 10)
     assert low == 0.0 and high < 0.35
+    for successes, trials in ((0, 0), (5, 3), (-1, 3)):
+        with pytest.raises(ValueError, match="successes <= trials"):
+            wilson_interval(successes, trials)
 
 
 def test_reduce_to_ffi_preserves_preimages():

@@ -79,10 +79,10 @@ def test_lll_small_example_finds_shortest():
 
 
 def test_lll_bad_delta():
-    with pytest.raises(BadDelta):
-        lll_reduce([[1, 0], [0, 1]], Fraction(1, 4))
-    with pytest.raises(BadDelta):
-        lll_reduce([[1, 0], [0, 1]], 1)
+    # inf, nan and "abc" are not Fractions at all; each is a bad delta all the same
+    for delta in (Fraction(1, 4), 1, math.inf, -math.inf, math.nan, "abc"):
+        with pytest.raises(BadDelta):
+            lll_reduce([[1, 0], [0, 1]], delta)
 
 
 def test_lll_gram_determinant_preserved():
@@ -247,8 +247,9 @@ def test_run_attack_hardened_typically_empty():
 
 def test_run_attack_custom_delta_validation():
     inst = gen_instance(2, 4, 2, 1, 4, random.Random(11))
-    with pytest.raises(BadDelta):
-        run_attack(inst.public_only(), delta=Fraction(1, 8))
+    for delta in (Fraction(1, 8), math.inf):
+        with pytest.raises(BadDelta):
+            run_attack(inst.public_only(), delta=delta)
 
 
 @pytest.mark.parametrize("gh_factor", [-0.8, float("nan"), float("inf"), 0])
