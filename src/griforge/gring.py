@@ -195,19 +195,19 @@ class RingElem:
         z -> z(2 - az) doubles the p-adic precision of an approximate
         inverse, so ceil(log2 s) steps after the residue-field inverse,
         taken by extended Euclid against fbar, give the exact inverse
-        modulo p^s.
+        modulo p^s. All of it runs on the raw kernel.
         """
-        red = self.reduce_mod_p()
-        if red.is_zero:
+        ctx = self._ctx_of_kind(galois=True)
+        red = _canon(self.coeffs, ctx.p)
+        if not red:
             raise NotAUnit("element lies in the maximal ideal (p)")
-        z = self.ctx.elem(_fp_inv(red.coeffs, self.ctx.p, self.ctx.fbar.coeffs))
-        if self.ctx.s > 1:
-            two = self.ctx.elem([2])
-            for _ in range((self.ctx.s - 1).bit_length()):
-                z = z * (two - self * z)
-        if self * z != self.ctx.one():
+        rm, m, a = ctx._rem_matrix, ctx.m, self.coeffs
+        z = _fp_inv(red, ctx.p, ctx.fbar.coeffs)
+        for _ in range((ctx.s - 1).bit_length()):
+            z = _mul_rem(z, _raw_sub([2], _mul_rem(a, z, rm, m), m), rm, m)
+        if _mul_rem(a, z, rm, m) != [1]:
             raise InvariantBreach("Newton inversion did not converge")
-        return z
+        return _wrap_elem(tuple(z), ctx)
 
     def __repr__(self):
         return f"{_pretty(self.coeffs)} in {self.ctx._label}"
@@ -320,18 +320,20 @@ def iso_from_phi_x(src: RingCtx, dst: RingCtx, phi_x: RingElem) -> Isomorphism:
 
     The matrices are determined by phi_x, so serialized isomorphisms
     only need to store it; a stored value that is not a root of the
-    source polynomial is rejected.
+    source polynomial is rejected. f(phi_x) is read off the powers
+    phi_x^0 .. phi_x^(n-1) that form the matrix, plus phi_x^n.
     """
     _check_params(src, dst)
     if phi_x.ctx != dst:
         raise CtxMismatch("phi_x does not live in the destination ring")
-    if not eval_poly(src.f, phi_x).is_zero:
+    n, m, red, x = dst.n, dst.m, dst._rem_matrix, phi_x.coeffs
+    powers = [[1]]
+    for _ in range(n):
+        powers.append(_mul_rem(powers[-1], x, red, m))
+    rows = [cs + [0] * (n - len(cs)) for cs in powers]  # phi_x^0 .. phi_x^n
+    if any(sum(map(operator.mul, src.f.coeffs, col)) % m for col in zip(*rows)):
         raise InvalidIsomorphism("phi_x is not a root of the source polynomial")
-    rows = []
-    acc = dst.one()
-    for _ in range(src.n):
-        rows.append(list(acc.coeff_vector()))
-        acc = acc * phi_x
+    rows.pop()
     bwd = linalg.mat_inv_mod(rows, dst.m, dst.p)
     return Isomorphism(
         src,

@@ -22,6 +22,7 @@ a quotient.
 import random
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import isqrt
 from operator import index
 from typing import Sequence
 
@@ -220,13 +221,30 @@ def _pretty(coeffs: Sequence[int], var: str = "x") -> str:
 
 
 def eval_poly(g: Poly, a):
-    """Horner evaluation of g over Z/p^sZ at a ring element a (a `gring.RingElem`)."""
-    if g.modulus != a.ctx.modulus:
+    """g(a) at an element a of a Galois ring (a `gring.RingElem`), by Paterson–Stockmeyer (1973).
+
+    With k = isqrt(deg g) + 1, g is a polynomial in a^k whose
+    coefficients are blocks of k of g's. A block is a sum of scalar
+    multiples of the baby powers a^0 .. a^(k-1), each packed once, and
+    Horner in a^k joins the blocks: about 2 sqrt(deg g) ring products in
+    place of Horner's deg g, all on the raw kernel.
+    """
+    ctx = a._ctx_of_kind(galois=True)
+    if g.modulus != ctx.modulus:
         raise ModulusMismatch("polynomial and element use different moduli")
-    acc = a.ctx.zero()
-    for c in reversed(g.coeffs):
-        acc = acc * a + a.ctx.elem([c])
-    return acc
+    cs, m, red = g.coeffs, ctx.m, ctx._rem_matrix
+    k = isqrt(max(g.degree, 0)) + 1
+    powers = [[1], a.coeffs]
+    while len(powers) <= k:
+        powers.append(_mul_rem(powers[-1], powers[1], red, m))
+    w = _width(k + 1, m)  # k products in a block plus one residue of the running sum
+    baby = [_pack(x, w, m) for x in powers[:k]]
+    acc = []
+    for j in reversed(range(0, len(cs), k)):
+        x = _pack(_mul_rem(acc, powers[k], red, m), w, m)
+        x += sum((c % m) * b for c, b in zip(cs[j : j + k], baby))
+        acc = _unpack(x, w, ctx.n, m)
+    return ctx.elem(acc)
 
 
 def is_irreducible_mod_p(f: Poly) -> bool:
@@ -236,16 +254,22 @@ def is_irreducible_mod_p(f: Poly) -> bool:
     irreducibles of degree dividing d, and a reducible fbar of degree n
     has an irreducible factor of degree d <= n/2. So fbar is irreducible
     iff gcd(x^(p^d) - x, fbar) = 1 for every d <= n/2; the loop stops at
-    the first d that finds a factor.
+    the first d that finds a factor. While p^d < n, x^(p^d) is its own
+    remainder, so the reduction matrix of fbar is built at the first
+    step with p^d >= n, and not at all when an earlier gcd finds a factor.
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("irreducibility test requires a monic polynomial of degree >= 1")
     p, n = f.modulus.p, f.degree
     fb = [c % p for c in f.coeffs]
-    red = _rem_matrix(fb, p)
-    h = [0, 1]  # x^(p^d) mod fbar after step d
+    q, red, h = 1, None, [0, 1]  # h = x^(p^d) mod fbar after step d
     for _ in range(n // 2):
-        h = _power(h, p, lambda a, b: _mul_rem(a, b, red, p))
+        q *= p  # p^d: h is the bare monomial x^q while q < n
+        if q < n:
+            h = [0] * q + [1]
+        else:
+            red = red or _rem_matrix(fb, p)
+            h = _power(h, p, lambda a, b: _mul_rem(a, b, red, p))
         a, b = fb, [c % p for c in h] + [0] * (2 - len(h))
         b[1] = (b[1] - 1) % p  # h - x, on residues in [0, p)
         while len(_trim(b)) > 1:  # Euclid by remainders only, r unreduced until the end

@@ -22,7 +22,7 @@ from griforge.cli import (
     serialize_instance,
 )
 from griforge.errors import ValidationError
-from griforge.zmod import MAX_MODULUS_BITS
+from griforge.zmod import MAX_MODULUS_BITS, centered
 
 
 def _run(*argv):
@@ -137,6 +137,25 @@ def test_corrupted_phi_x_rejected(tmp_path, capsys):
     ]
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(tampered) + "\n")
+    code = _run("sample", "--in", str(bad), "--beta", "1", "--k", "2",
+                "--seed", "1", "--out", str(tmp_path / "inst.txt"))
+    assert code == 3
+    assert "phi_x" in capsys.readouterr().err
+
+
+def test_phi_x_off_in_the_top_p_adic_digit_rejected(tmp_path, capsys):
+    # phi_x + 2^7 is a root of secret.f modulo 2^7 but not modulo 2^8
+    params = _gen(tmp_path, p=2, s=8, n=6, seed=3)
+    iso_file = tmp_path / "iso.txt"
+    assert _run("make-iso", "--in", str(params), "--seed", "3", "--out", str(iso_file)) == 0
+    lines = iso_file.read_text().splitlines()
+    [phi_x] = [line for line in lines if line.startswith("secret.phi_x: ")]
+    cs = [int(c) for c in phi_x.split(": ")[1].split(",")]
+    cs[0] = centered(cs[0] + 2**7, 2**8)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(
+        "secret.phi_x: " + ",".join(map(str, cs)) if line == phi_x else line for line in lines
+    ) + "\n")
     code = _run("sample", "--in", str(bad), "--beta", "1", "--k", "2",
                 "--seed", "1", "--out", str(tmp_path / "inst.txt"))
     assert code == 3

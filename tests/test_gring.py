@@ -445,6 +445,7 @@ def test_negative_powers_are_powers_of_the_inverse():
 
 
 R16_OTHER = RingCtx(Poly([-1, 1, 1], M4))  # Z_4[y]/(y^2+y-1), the same ring presented again
+C36 = CompositeCtx.from_components([R16, RingCtx(Poly([1, 0, 1], Modulus(3, 2)))])
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -453,7 +454,24 @@ R16_OTHER = RingCtx(Poly([-1, 1, 1], M4))  # Z_4[y]/(y^2+y-1), the same ring pre
     (lambda: iso_from_phi_x(R16, R16_OTHER, R16.gen_class()), CtxMismatch, "destination ring"),
     (lambda: ring_iso_from_field_root(R16, R16_OTHER, R16_OTHER.gen_class()), CtxMismatch,
      "residue field"),
-], ids=["non-monic-f", "hensel-other-ring", "phi_x-other-ring", "root-not-in-residue-field"])
+    (lambda: eval_poly(R16.f, C36.elem([5, 1])), CtxMismatch, "Galois ring"),
+    (lambda: find_root(R16.f, C36, random.Random(0)), CtxMismatch, "s = 1 field"),
+], ids=["non-monic-f", "hensel-other-ring", "phi_x-other-ring", "root-not-in-residue-field",
+        "eval_poly-composite", "find_root-composite"])
 def test_ring_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 8, 6), (3, 4, 4)])
+def test_root_check_sees_the_top_p_adic_digit(p, s, n):
+    rng = random.Random(p * 100 + s * 10 + n)
+    m = Modulus(p, s)
+    src, dst = (RingCtx(random_monic_irreducible(m, n, rng)) for _ in range(2))
+    iso = build_ring_iso(src, dst, rng)
+    near = iso.phi_x + dst.elem([p ** (s - 1)])
+    value = ring_horner(src.f, near)  # f'(phi_x) p^(s-1), with f'(phi_x) a unit
+    assert not value.is_zero and all(c % p ** (s - 1) == 0 for c in value.coeffs)
+    with pytest.raises(InvalidIsomorphism, match="root"):
+        iso_from_phi_x(src, dst, near)
+    assert iso_from_phi_x(src, dst, iso.phi_x).fwd == iso.fwd

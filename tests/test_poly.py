@@ -9,7 +9,8 @@ from griforge.errors import ModulusMismatch, ValidationError
 from griforge.ffield import _tmul
 from griforge.poly import _canon, _mul_rem, _pack, _raw_add, _raw_mul, _rem_matrix, _rem_slots
 from griforge.zmod import MAX_MODULUS_BITS
-from helpers import exhaustive_irreducible, frobenius_irreducible, schoolbook_mul, schoolbook_rem
+from helpers import exhaustive_irreducible, frobenius_irreducible, randrange_monic_irreducible
+from helpers import schoolbook_mul, schoolbook_rem
 
 M4 = Modulus(2, 2)
 M8 = Modulus(2, 3)
@@ -210,6 +211,23 @@ def test_irreducibility_against_frobenius_oracle(p, n, count):
     verdicts = [is_irreducible_mod_p(f) for f in polys]
     assert verdicts == [frobenius_irreducible(f) for f in polys]
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 9), (2, 16), (5, 5)])
+def test_irreducibility_where_a_frobenius_step_first_reaches_n(p, n):
+    # p^d = n at a step d < n/2, so a later step follows it: x^(p^d) = x^n must be
+    # reduced modulo fbar there, and the steps after it start from that remainder.
+    # Irreducibles come from the Frobenius oracle's own sampler, and g_d * g_(n-d)
+    # has a factor of every degree d the loop tries.
+    rng = random.Random(p * 1000 + n)
+    m = Modulus(p, 1)
+    polys = [randrange_monic_irreducible(m, n, rng) for _ in range(10)]
+    for d in range(1, n // 2 + 1):
+        gd, ge = (randrange_monic_irreducible(m, e, rng) for e in (d, n - d))
+        polys.append(Poly(schoolbook_mul(gd.coeffs, ge.coeffs, p), m))
+    verdicts = [is_irreducible_mod_p(f) for f in polys]
+    assert verdicts == [frobenius_irreducible(f) for f in polys]
+    assert verdicts == [True] * 10 + [False] * (n // 2)
 
 
 def test_irreducibility_lifted_agrees_with_reduction():

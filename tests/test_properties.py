@@ -1,9 +1,11 @@
-"""Hypothesis properties of the packed kernels, skipped where Hypothesis is not installed.
+"""Hypothesis properties of the packed kernels and of ring evaluation and inversion,
+skipped where Hypothesis is not installed.
 
 tests/conftest.py loads a deterministic profile, so every run checks the
 same examples.
 """
 
+import random
 from itertools import zip_longest
 
 import pytest
@@ -12,10 +14,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from griforge import Modulus, Poly, RingCtx, eval_poly, random_monic_irreducible  # noqa: E402
+from griforge.errors import NotAUnit  # noqa: E402
 from griforge.linalg import pack_rows, vec_mat  # noqa: E402
 from griforge.poly import _canon, _pack, _rem_matrix, _rem_slots, _unpack  # noqa: E402
 from griforge.zmod import MAX_MODULUS_BITS, centered  # noqa: E402
-from helpers import schoolbook_rem  # noqa: E402
+from helpers import ring_horner, schoolbook_rem  # noqa: E402
 
 # Prime powers the rings use, composite moduli the kernels also accept, and the widest modulus.
 MODULI = st.one_of(
@@ -112,3 +116,51 @@ def _vector_and_matrix(draw, max_n=8):
 def test_offset_vec_mat_matches_plain_sum(mva):
     m, v, a = mva
     assert vec_mat(v, pack_rows(a, m), m) == _plain_vec_mat(v, a, m)
+
+
+# One ring per modulus: 2^8, 3^10, 251 (the residue field F_251^4) and the widest 2^4096.
+RINGS = [
+    RingCtx(random_monic_irreducible(Modulus(p, s), n, random.Random(p + s + n)))
+    for p, s, n in [(2, 8, 6), (3, 10, 8), (251, 1, 4), (2, MAX_MODULUS_BITS, 5)]
+]
+RING_IDS = ["2^8", "3^10", "251", "2^4096"]
+
+
+@st.composite
+def _point(draw, ctx):
+    """An element of ctx that is zero, a unit or a non-unit (in (p)), with its kind."""
+    kind = draw(st.sampled_from(["zero", "unit", "non-unit"]))
+    cs = draw(st.lists(_centered(ctx.m), min_size=ctx.n, max_size=ctx.n))
+    if kind == "zero":
+        return kind, ctx.zero()
+    if kind == "non-unit":
+        return kind, ctx.elem([ctx.p * c for c in cs])
+    a = ctx.elem(cs)
+    return kind, a if a.is_unit() else a + ctx.one()
+
+
+@pytest.mark.parametrize("ctx", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("shape", ["zero", "0", "1", "n-1", "n", "2n+1"])
+@given(data=st.data())
+def test_eval_poly_matches_horner(ctx, shape, data):
+    # the degrees pin Paterson-Stockmeyer's block edges: k = 1 at degree 0, and
+    # deg g + 1 both a multiple of k and not one across the rings
+    n, m = ctx.n, ctx.m
+    deg = {"zero": -1, "0": 0, "1": 1, "n-1": n - 1, "n": n, "2n+1": 2 * n + 1}[shape]
+    low = data.draw(st.lists(_centered(m), min_size=max(deg, 0), max_size=max(deg, 0)))
+    lead = [data.draw(st.integers(min_value=1, max_value=m - 1))] if deg >= 0 else []
+    g = Poly(low + lead, ctx.modulus)
+    assert g.degree == deg
+    _, a = data.draw(_point(ctx))
+    assert eval_poly(g, a) == ring_horner(g, a)
+
+
+@pytest.mark.parametrize("ctx", RINGS, ids=RING_IDS)
+@given(data=st.data())
+def test_inverse_of_a_unit_and_none_in_p(ctx, data):
+    kind, a = data.draw(_point(ctx))
+    if kind == "unit":
+        assert a * a.inv() == ctx.one()
+    else:
+        with pytest.raises(NotAUnit):
+            a.inv()
