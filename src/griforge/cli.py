@@ -226,7 +226,7 @@ def _take_pair(fields: dict[str, str], required: bool):
         raise ValidationError("secret.phi_x requires secret.f")
     iso = None if src is None else _take(
         fields, "secret.phi_x",
-        lambda text: iso_from_phi_x(src, dst, dst.elem(_parse_ints(text, n))), default)
+        lambda text: iso_from_phi_x(src, dst, RingElem(_parse_ints(text, n), dst)), default)
     return beta, k, dst, src, iso
 
 

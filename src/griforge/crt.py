@@ -90,6 +90,7 @@ class CompositeCtx(_Quotient):
 
     _f_coeffs = property(lambda self: self.f)
     _label = property(lambda self: " x ".join(c._label for c in self.components))
+    modulus = fbar = residue_field = property(lambda self: self._refuse(galois=True))
 
 
 def crt_combine_elems(parts: Sequence[RingElem], ctx: CompositeCtx) -> RingElem:

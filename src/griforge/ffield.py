@@ -111,7 +111,7 @@ def find_root(g: Poly, field, rng: random.Random):
     isolated first under the supplied randomness, so distinct seeds
     may select distinct conjugates.
     """
-    if g.modulus != getattr(field, "modulus", None) or field.s != 1:  # a composite ring has none
+    if g.modulus != field.modulus or field.s != 1:
         raise CtxMismatch("root finding needs g and an s = 1 field over the same prime")
     if not g.is_monic or g.degree != field.n:
         raise NoRoot("degree of g must equal the extension degree")

@@ -77,10 +77,11 @@ def instance_from_iso(iso: Isomorphism, beta: int, k: int, rng: random.Random) -
     """Sample k short preimages under a fixed isomorphism and publish their images."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    # a composite src refuses p here, before any draw
+    params = GriParams(iso.src.p, iso.src.s, iso.src.n, beta, k)
     chi = ChiBeta(beta, iso.src)
     preimages = tuple(chi.sample(rng) for _ in range(k))
     images = tuple(iso.apply(a) for a in preimages)
-    params = GriParams(iso.src.p, iso.src.s, iso.src.n, beta, k)
     return GriInstance(params, iso.dst, images, GriSecret(iso, preimages))
 
 

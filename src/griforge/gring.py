@@ -35,7 +35,15 @@ from .zmod import Modulus
 
 
 class _Quotient:
-    """Z/mZ[x]/(f), f monic of degree n; a subclass supplies m, n, `_f_coeffs` and `_label`."""
+    """Z/mZ[x]/(f), f monic of degree n; a subclass supplies m, n, `_f_coeffs`, `_label` and
+    `modulus`, and answers the attributes of the other kind of ring with `_refuse`'s error."""
+
+    p = property(lambda self: self.modulus.p)
+    s = property(lambda self: self.modulus.s)
+
+    def _refuse(self, galois: bool):
+        kind = "a Galois" if galois else "a composite"
+        raise CtxMismatch(f"needs an element of {kind} ring, not of {self._label}")
 
     @cached_property
     def _rem_matrix(self) -> tuple[int, int, tuple[int, ...]]:
@@ -81,18 +89,11 @@ class RingCtx(_Quotient):
 
     _f_coeffs = property(lambda self: self.f.coeffs)
     _label = property(lambda self: f"GR({self.modulus!r}, {self.n})")
+    components = property(lambda self: self._refuse(galois=False))
 
     @property
     def modulus(self) -> Modulus:
         return self.f.modulus
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    @property
-    def s(self) -> int:
-        return self.modulus.s
 
     @cached_property
     def m(self) -> int:
@@ -119,8 +120,8 @@ class RingElem:
     The tuple is its representative of degree < n, ascending, centered
     mod m and trimmed (zero is ()); the constructor puts it in that
     form. `rep`, `reduce_mod_p`, `is_unit`, `inv` and negative powers
-    need a `RingCtx`, `split` a composite ring; the other kind raises
-    `CtxMismatch`.
+    need a `RingCtx`, `split` a composite ring; on the other kind, the
+    ring's own attributes raise `CtxMismatch`.
     """
 
     coeffs: tuple[int, ...]
@@ -134,13 +135,7 @@ class RingElem:
     @property
     def rep(self) -> Poly:
         """The representative as a `Poly` over Z/p^sZ, for callers outside the package."""
-        return Poly(self.coeffs, self._ctx_of_kind(galois=True).modulus)
-
-    def _ctx_of_kind(self, galois: bool):
-        if isinstance(self.ctx, RingCtx) != galois:
-            kind = "a Galois" if galois else "a composite"
-            raise CtxMismatch(f"needs an element of {kind} ring, not of {self.ctx._label}")
-        return self.ctx
+        return Poly(self.coeffs, self.ctx.modulus)
 
     def _same(self, other: "RingElem"):
         if self.ctx != other.ctx:
@@ -174,7 +169,7 @@ class RingElem:
 
     def split(self) -> tuple["RingElem", ...]:
         """The components of an element of a composite ring, by coefficient-wise reduction."""
-        return tuple(c.elem(self.coeffs) for c in self._ctx_of_kind(galois=False).components)
+        return tuple(c.elem(self.coeffs) for c in self.ctx.components)
 
     def pow(self, e: int) -> "RingElem":
         if e < 0:
@@ -183,8 +178,7 @@ class RingElem:
 
     def reduce_mod_p(self) -> "RingElem":
         """Image under the reduction map onto the residue field."""
-        ctx = self._ctx_of_kind(galois=True)
-        return _wrap_elem(_canon(self.coeffs, ctx.p), ctx.residue_field)
+        return _wrap_elem(_canon(self.coeffs, self.ctx.p), self.ctx.residue_field)
 
     def is_unit(self) -> bool:
         return not self.reduce_mod_p().is_zero
@@ -197,7 +191,7 @@ class RingElem:
         taken by extended Euclid against fbar, give the exact inverse
         modulo p^s. All of it runs on the raw kernel.
         """
-        ctx = self._ctx_of_kind(galois=True)
+        ctx = self.ctx
         red = _canon(self.coeffs, ctx.p)
         if not red:
             raise NotAUnit("element lies in the maximal ideal (p)")

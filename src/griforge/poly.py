@@ -229,7 +229,7 @@ def eval_poly(g: Poly, a):
     Horner in a^k joins the blocks: about 2 sqrt(deg g) ring products in
     place of Horner's deg g, all on the raw kernel.
     """
-    ctx = a._ctx_of_kind(galois=True)
+    ctx = a.ctx
     if g.modulus != ctx.modulus:
         raise ModulusMismatch("polynomial and element use different moduli")
     cs, m, red = g.coeffs, ctx.m, ctx._rem_matrix

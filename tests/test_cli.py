@@ -62,6 +62,14 @@ def test_gen_params_env_seed(tmp_path, monkeypatch):
     assert out.read_bytes() == _gen(tmp_path, "flag.txt").read_bytes()
 
 
+def test_gen_params_unseeded(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    out = tmp_path / "unseeded.txt"
+    assert _run("gen-params", "--p", "2", "--s", "4", "--n", "3", "--out", str(out)) == 0
+    assert load_params(out.read_text()).seed is None
+    assert "seed:" not in out.read_text()
+
+
 def test_gen_params_validation_errors(tmp_path, capsys):
     out = tmp_path / "x.txt"
     assert _run("gen-params", "--p", "4", "--s", "1", "--n", "2", "--out", str(out)) == 3
@@ -160,6 +168,23 @@ def test_phi_x_off_in_the_top_p_adic_digit_rejected(tmp_path, capsys):
                 "--seed", "1", "--out", str(tmp_path / "inst.txt"))
     assert code == 3
     assert "phi_x" in capsys.readouterr().err
+
+
+def test_phi_x_plus_f_of_degree_n_rejected(tmp_path, capsys):
+    # phi_x + F is phi_x's class, but not its representative of degree < n
+    iso_file = _iso(tmp_path)
+    text = iso_file.read_text()
+    fields = dict(line.split(": ", 1) for line in text.splitlines()[1:])
+    phi_x, big_f = ([int(c) for c in fields[key].split(",")] for key in ("secret.phi_x", "F"))
+    shifted = [a + b for a, b in zip(phi_x + [0] * (len(big_f) - len(phi_x)), big_f)]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace(f"secret.phi_x: {fields['secret.phi_x']}\n",
+                                f"secret.phi_x: {','.join(map(str, shifted))}\n"))
+    argv = ["sample", "--beta", "1", "--k", "2", "--seed", "1", "--out", str(tmp_path / "i.txt")]
+    assert _run(*argv, "--in", str(iso_file)) == 0
+    capsys.readouterr()
+    assert _run(*argv, "--in", str(bad)) == 3
+    assert "secret.phi_x" in capsys.readouterr().err
 
 
 def test_sample_attack_pipeline(tmp_path, capsys):

@@ -4,16 +4,25 @@ import pytest
 
 from griforge import (
     CompositeCtx,
+    GriInstance,
+    GriParams,
     Isomorphism,
     Modulus,
     Poly,
     RingCtx,
+    build_attack_lattice,
     build_composite_iso,
+    build_ring_iso,
     crt_combine_elems,
     crt_combine_polys,
     crt_ints,
+    field_iso_from_root,
+    instance_from_iso,
     is_irreducible_mod_p,
+    iso_from_phi_x,
     random_monic_irreducible,
+    reduce_to_ffi,
+    ring_iso_from_field_root,
 )
 from griforge.errors import (
     CtxMismatch,
@@ -228,6 +237,35 @@ def test_a_method_for_the_other_kind_of_ring_is_a_ctx_mismatch(name):
         elem, call, kind = ctx.elem([5, 1]), GALOIS_ONLY[name], "a Galois"
     with pytest.raises(CtxMismatch, match=f"needs an element of {kind} ring"):
         call(elem)
+
+
+# Entry points written for one kind of ring, called with the other: (c, g) are a composite
+# ring and a Galois ring, and each entry names the kind of ring the refusal asks for.
+ENTRY_POINTS = {
+    "iso_from_phi_x": ("a Galois", lambda c, g, rng: iso_from_phi_x(c, c, c.one())),
+    "build_ring_iso": ("a Galois", lambda c, g, rng: build_ring_iso(c, c, rng)),
+    "field_iso_from_root": ("a Galois", lambda c, g, rng: field_iso_from_root(c, c, c.one())),
+    "ring_iso_from_field_root":
+        ("a Galois", lambda c, g, rng: ring_iso_from_field_root(c, c, c.one())),
+    "instance_from_iso": ("a Galois", lambda c, g, rng: instance_from_iso(
+        build_composite_iso(c, c, random.Random(1)), 1, 2, rng)),
+    "build_attack_lattice":
+        ("a Galois", lambda c, g, rng: build_attack_lattice([c.one()], Modulus(2, 2))),
+    "reduce_to_ffi": ("a Galois", lambda c, g, rng: reduce_to_ffi(
+        GriInstance(GriParams(3, 2, 2, 1, 1), c, (c.one(),), None))),
+    "crt_combine_elems": ("a composite", lambda c, g, rng: crt_combine_elems([g.one()], g)),
+    "build_composite_iso": ("a composite", lambda c, g, rng: build_composite_iso(g, g, rng)),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_an_entry_point_for_the_other_kind_of_ring_is_a_ctx_mismatch(name):
+    kind, call = ENTRY_POINTS[name]
+    galois = RingCtx(F1)
+    rng = random.Random(0)
+    with pytest.raises(CtxMismatch, match=f"needs an element of {kind} ring"):
+        call(CompositeCtx.from_components([galois, RingCtx(F2)]), galois, rng)
+    assert rng.getstate() == random.Random(0).getstate()  # refused before any draw
 
 
 @pytest.mark.parametrize("call, error, message", [

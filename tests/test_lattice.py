@@ -165,6 +165,26 @@ def test_hnf_row_basis_transform_consistent():
         assert combo == brow
 
 
+@pytest.mark.parametrize("rows", [
+    [[2, 3, 5], [7, 11, 13]],
+    [[0, 4, 6, 8], [3, 5, 7, 9]],
+    [[1, 0, 0, 0, 0]],
+    [[3, -7, 2, 9, 4, 1], [5, 0, -6, 2, 8, -3], [1, 4, 4, -5, 0, 7]],
+], ids=["2x3", "2x4-zero-corner", "1x5", "3x6"])
+def test_hnf_row_basis_of_wide_full_rank_rows(rows):
+    # fewer rows than columns: the pivots run out before the columns do
+    from helpers import det_fraction
+    basis, t = hnf_row_basis(rows)
+    assert len(basis) == len(rows) and abs(det_fraction(t)) == 1
+    nc = len(rows[0])
+    assert basis == [[sum(ti * row[j] for ti, row in zip(trow, rows)) for j in range(nc)]
+                     for trow in t]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for i, j in enumerate(pivots):
+        assert basis[i][j] > 0 and all(0 <= basis[h][j] < basis[i][j] for h in range(i))
+
+
 def test_true_bj_vectors_lie_in_lattice():
     inst = gen_instance(2, 8, 6, 1, 12, random.Random(7))
     d = build_attack_lattice(inst.images, inst.dst.modulus)
@@ -190,9 +210,10 @@ def test_extract_empty_when_nothing_short():
 
 
 def test_extract_closed_under_negation_and_verified():
-    reduced = [[1, 0, -1], [5, 5, 5], [0, 1, 1]]
+    reduced = [[1, 0, -1], [5, 5, 5], [0, 0, 0], [0, 1, 1]]
     cands = extract_short_vectors(reduced, 1)
     vectors = {c.vector for c in cands}
+    assert (0, 0, 0) not in vectors  # a zero row is no candidate
     assert (1, 0, -1) in vectors and (-1, 0, 1) in vectors
     assert (0, 1, 1) in vectors and (0, -1, -1) in vectors
     assert all(c.in_lattice for c in cands)
