@@ -94,7 +94,7 @@ def _parse_fields(text: str, kind: str) -> dict[str, str]:
         fields[key] = value.strip()
     found = fields.pop("kind", None)
     if found != kind:
-        raise ValidationError(f"expected a {kind} file, got kind {found!r}")
+        raise ValidationError(f"expected kind {kind!r}, got kind {found!r}")
     return fields
 
 

@@ -14,7 +14,10 @@ degree < n (zero is the empty list), and a polynomial in t is an
 ascending trimmed list of field elements. Products in t are
 Kronecker-packed and reduced modulo fbar by the field's packed
 reduction matrix; powers are reduced modulo the factor h by a Newton
-inverse of its reversal, so each reduction is two more products.
+inverse of its reversal, so each reduction is two more products. A
+division multiplies by one inverse of the divisor's leading coefficient,
+the gcd is made monic once, and the cofactor of a factor is divided out
+only when it is the factor kept.
 """
 
 import random
@@ -22,7 +25,7 @@ from itertools import zip_longest
 
 from .errors import CtxMismatch, InvariantBreach, NoRoot
 from .poly import Poly, _fp_inv, _pack, _power, _raw_add, _raw_sub, _rem_slots, _trim
-from .poly import _width, eval_poly, is_irreducible_mod_p
+from .poly import _mul_rem, _width, eval_poly, is_irreducible_mod_p
 
 
 def _tmul(u, v, p, red):
@@ -44,19 +47,13 @@ def _tmul(u, v, p, red):
     return _trim(out)
 
 
-def _tmonic(u, p, fb, red):
-    if u[-1] == [1]:
-        return u
-    return _tmul([_fp_inv(u[-1], p, fb)], u, p, red)
-
-
 def _tdivmod(u, v, p, fb, red):
-    """Quotient and remainder of u by v scaled to be monic."""
-    v = _tmonic(v, p, fb, red)
+    """Quotient and remainder of u by v, by one inverse of v's leading coefficient."""
+    linv = _fp_inv(v[-1], p, fb)
     q = [[] for _ in range(len(u) - len(v) + 1)]
     r = list(u)
     for i in reversed(range(len(q))):
-        c = q[i] = r[i + len(v) - 1]
+        c = q[i] = _mul_rem(r[i + len(v) - 1], linv, red, p)
         if c:
             for j, cv in enumerate(_tmul([c], v[:-1], p, red)):
                 r[i + j] = _raw_sub(r[i + j], cv, p)
@@ -64,9 +61,10 @@ def _tdivmod(u, v, p, fb, red):
 
 
 def _tgcd(u, v, p, fb, red):
+    """The monic gcd: Euclid by remainders, then the last nonzero one scaled once."""
     while v:
         u, v = v, _tdivmod(u, v, p, fb, red)[1]
-    return _tmonic(u, p, fb, red) if u else u
+    return _tmul([_fp_inv(u[-1], p, fb)], u, p, red) if u else u
 
 
 def _trev_inv(h, p, red):
@@ -140,9 +138,8 @@ def find_root(g: Poly, field, rng: random.Random):
                        lambda a, b: _trem(_tmul(a, b, p, red), h, hinv, p, red))
             w = _trim([_raw_sub(a, b, p) for a, b in zip_longest(w, [[1]], fillvalue=[])])
         d = _tgcd(h, w, p, fb, red)
-        if 1 < len(d) < len(h):
-            other = _tdivmod(h, d, p, fb, red)[0]
-            h = d if len(d) <= len(other) else other
+        if 1 < len(d) < len(h):  # keep the shorter factor; h / d has len(h) - len(d) + 1 terms
+            h = d if 2 * len(d) <= len(h) + 1 else _tdivmod(h, d, p, fb, red)[0]
             hinv = _trev_inv(h, p, red)
     root = field.elem([-c for c in h[0]])
     if not eval_poly(g, root).is_zero:

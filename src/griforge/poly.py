@@ -15,8 +15,8 @@ enough that one big-integer multiply replaces the coefficient loops.
 Every product modulo a fixed monic f is `_mul_rem`, a packed product
 reduced by one packed vector-matrix product with the reduction matrix of
 f (`_rem_matrix`, built once by its owner), and every power is `_power`
-over such a product. `_raw_divmod` is the one long division that returns
-a quotient.
+over such a product. `_raw_divmod` is the one long division over Z/mZ,
+on residues in [0, m): `_canon`, `_fp_inv` and Ben-Or's gcd run on it.
 """
 
 import random
@@ -142,24 +142,24 @@ def _canon(coeffs, m, f=None) -> tuple[int, ...]:
     """Integer coeffs centered mod m and trimmed, then reduced modulo the monic f if given."""
     cs = _trim([centered(index(c), m) for c in coeffs])
     if f is not None and len(cs) >= len(f):
-        cs = _raw_divmod(cs, f, m)[1]
+        cs = [centered(c, m) for c in _raw_divmod(cs, f, m)[1]]
     return tuple(cs)
 
 
 def _raw_divmod(a, b, m):
-    """Quotient and remainder by b, whose leading coefficient must be a unit."""
-    if len(a) < len(b):
-        return [], _trim([centered(c, m) for c in a])
-    linv = invmod(b[-1], m)
-    q = [0] * (len(a) - len(b) + 1)
-    r = list(a)
-    for i in reversed(range(len(q))):
-        c = centered(r[i + len(b) - 1] * linv, m)
-        q[i] = c
-        if c:
-            for j in range(len(b)):
-                r[i + j] -= c * b[j]
-    return _trim(q), _trim([centered(c, m) for c in r[: len(b) - 1]])
+    """Quotient and remainder of a by b, whose leading coefficient must be a unit.
+
+    Both come back as trimmed residues in [0, m). The leading coefficient
+    is inverted once, and the running remainder is reduced only where an
+    entry is read off: a quotient coefficient, or the remainder at the end.
+    """
+    k, inv = len(b) - 1, pow(b[-1], -1, m)
+    q, r = [0] * (len(a) - k), list(a)  # no quotient when len(a) <= k
+    for i in reversed(range(k, len(r))):
+        c = q[i - k] = r[i] * inv % m
+        if c:  # r[i] itself is never read again
+            r[i - k : i] = [x - c * y for x, y in zip(r[i - k : i], b)]
+    return _trim(q), _trim([c % m for c in r[:k]])
 
 
 def _fp_inv(a, p, fb):
@@ -270,15 +270,9 @@ def is_irreducible_mod_p(f: Poly) -> bool:
         else:
             red = red or _rem_matrix(fb, p)
             h = _power(h, p, lambda a, b: _mul_rem(a, b, red, p))
-        a, b = fb, [c % p for c in h] + [0] * (2 - len(h))
-        b[1] = (b[1] - 1) % p  # h - x, on residues in [0, p)
-        while len(_trim(b)) > 1:  # Euclid by remainders only, r unreduced until the end
-            r, inv, k = a[:], pow(b[-1], -1, p), len(b) - 1
-            for i in reversed(range(k, len(r))):
-                c = r[i] * inv % p
-                if c:
-                    r[i - k : i] = [x - c * y for x, y in zip(r[i - k : i], b)]
-            a, b = b, [c % p for c in r[:k]]
+        a, b = fb, _raw_sub(h, [0, 1], p)  # h - x
+        while len(b) > 1:  # Euclid by remainders only
+            a, b = b, _raw_divmod(a, b, p)[1]
         if not b:  # the last nonzero remainder a is not constant: a common factor
             return False
     return True

@@ -322,7 +322,8 @@ def test_loaders_refuse_other_kinds_and_inconsistent_headers(files_of_each_kind,
         assert LOADERS[loader](text)  # the unedited file loads
         text, before = edit(text), text
         assert text != before
-    with pytest.raises(ValidationError):
+    wrong_kind = None if edit else re.escape(f"expected kind {loader!r}, got kind {kind!r}")
+    with pytest.raises(ValidationError, match=wrong_kind):
         LOADERS[loader](text)
 
 

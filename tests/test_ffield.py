@@ -1,6 +1,7 @@
 """The residue field F_{p^n} as the s = 1 ring, and root finding in it."""
 
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -15,7 +16,8 @@ from griforge import (
     random_monic_irreducible,
 )
 from griforge.errors import CtxMismatch, NoRoot, NotAUnit, NotIrreducible, ParamMismatch
-from griforge.ffield import _tdivmod, _trem, _trev_inv
+from griforge.ffield import _tdivmod, _tgcd, _tmul, _trem, _trev_inv
+from griforge.poly import _raw_add, _trim
 from helpers import field_roots
 
 M2 = Modulus(2, 1)
@@ -117,6 +119,42 @@ def test_newton_rem_matches_tdivmod(p, n):
                 cases.append([[]] * (length - 1) + [elem() or [1]])  # c * t^(length - 1)
             for u in cases:
                 assert _trem(u, h, hinv, p, red) == _tdivmod(u, h, p, fb, red)[1], (dh, u)
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (251, 3)])
+def test_tdivmod_and_tgcd_by_non_monic_divisors(p, n):
+    rng = random.Random(p * 100 + n)
+    field = RingCtx(random_monic_irreducible(Modulus(p, 1), n, rng))
+    fb, red = list(field.f.coeffs), field._rem_matrix
+
+    def elem():
+        return list(field.random_elem(rng).rep.coeffs)
+
+    def tpoly(length):  # a t-polynomial of degree length - 1 whose lead is neither 0 nor 1
+        lead = elem()
+        while lead in ([], [1]):
+            lead = elem()
+        return [elem() for _ in range(length - 1)] + [lead]
+
+    def mul(u, v):
+        return _tmul(u, v, p, red) if u and v else []
+
+    def add(u, v):
+        return _trim([_raw_add(a, b, p) for a, b in zip_longest(u, v, fillvalue=[])])
+
+    for dv in (1, 2, 5):
+        for length in range(2 * dv + 3):
+            u, v = tpoly(length) if length else [], tpoly(dv + 1)
+            q, r = _tdivmod(u, v, p, fb, red)
+            assert len(r) < len(v), (dv, u, v)
+            assert add(mul(q, v), r) == u, (dv, u, v)
+        c = tpoly(dv + 1)
+        ca, cb = mul(c, tpoly(2)), mul(c, tpoly(dv))
+        d = _tgcd(ca, cb, p, fb, red)
+        assert d[-1] == [1]
+        # d divides both inputs, and their common factor c divides d
+        for x, y in ((ca, d), (cb, d), (d, c)):
+            assert _tdivmod(x, y, p, fb, red)[1] == [], (dv, x, y)
 
 
 # (p, g, field polynomial, rng seed, root, next 64 random bits): the conjugate

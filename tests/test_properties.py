@@ -7,6 +7,7 @@ same examples.
 
 import random
 from itertools import zip_longest
+from math import gcd
 
 import pytest
 
@@ -17,9 +18,10 @@ from hypothesis import strategies as st  # noqa: E402
 from griforge import Modulus, Poly, RingCtx, eval_poly, random_monic_irreducible  # noqa: E402
 from griforge.errors import NotAUnit  # noqa: E402
 from griforge.linalg import pack_rows, vec_mat  # noqa: E402
-from griforge.poly import _canon, _pack, _rem_matrix, _rem_slots, _unpack  # noqa: E402
+from griforge.poly import _canon, _fp_inv, _pack, _raw_divmod, _rem_matrix, _rem_slots  # noqa: E402
+from griforge.poly import _unpack  # noqa: E402
 from griforge.zmod import MAX_MODULUS_BITS, centered  # noqa: E402
-from helpers import ring_horner, schoolbook_rem  # noqa: E402
+from helpers import ring_horner, schoolbook_mul, schoolbook_rem  # noqa: E402
 
 # Prime powers the rings use, composite moduli the kernels also accept, and the widest modulus.
 MODULI = st.one_of(
@@ -90,6 +92,52 @@ def test_rem_matrix_matches_long_division(mfa):
     m, f, a = mfa
     w = (m - 1).bit_length()  # _rem_slots takes residue slots
     assert tuple(_rem_slots(_pack(a, w, m), w, _rem_matrix(f, m), m)) == schoolbook_rem(a, f, m)
+
+
+@st.composite
+def _unit_lead_division(draw, max_n=8):
+    """m, a and b, whose leading coefficient is any unit mod m, 1 or not."""
+    m = draw(st.sampled_from([2**8, 3**5, 251, 2**64]))
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    lead = draw(_ints(m).filter(lambda c: gcd(c, m) == 1))
+    b = draw(st.lists(_ints(m), min_size=n, max_size=n)) + [lead]
+    a = draw(st.lists(_ints(m), max_size=2 * n + 3))
+    return m, a, b
+
+
+@given(_unit_lead_division())
+@example((2**8, [1, 2, 3, 4], [5, 3]))
+@example((3**5, [7], [1, -1, 2]))  # len(a) < len(b): no quotient
+@example((2**64, [2**64 + 1, -1, 5], [-1]))  # a constant divisor
+def test_raw_divmod_by_a_unit_lead(mab):
+    m, a, b = mab
+    q, r = _raw_divmod(a, b, m)
+    assert len(r) < len(b)
+    for out in (q, r):
+        assert not out or out[-1] != 0
+        assert all(0 <= c < m for c in out)
+    assert all((x - y - z) % m == 0 for x, y, z in zip_longest(a, schoolbook_mul(q, b, m), r,
+                                                                  fillvalue=0))
+
+
+@given(_monic_and_input())
+def test_raw_divmod_by_monic_matches_long_division(mfa):
+    m, f, a = mfa
+    assert tuple(centered(c, m) for c in _raw_divmod(a, f, m)[1]) == schoolbook_rem(a, f, m)
+
+
+FIELDS = {(p, n): list(random_monic_irreducible(Modulus(p, 1), n, random.Random(p * n)).coeffs)
+          for p, n in [(2, 6), (3, 5), (13, 4)]}
+
+
+@pytest.mark.parametrize("p, n", FIELDS, ids=[f"{p}^{n}" for p, n in FIELDS])
+@given(data=st.data())
+def test_fp_inv_is_the_inverse_modulo_fbar(p, n, data):
+    fb = FIELDS[p, n]
+    a = list(_canon(data.draw(st.lists(_ints(p), min_size=1, max_size=n)), p))
+    if not a:
+        a = [data.draw(st.integers(min_value=1, max_value=p - 1))]
+    assert schoolbook_rem(schoolbook_mul(_fp_inv(a, p, fb), a, p), fb, p) == (1,)
 
 
 def _plain_vec_mat(v, a, m):
