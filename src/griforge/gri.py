@@ -7,6 +7,13 @@ decisional game presents one image of a short element next to one
 uniform element and asks which is which. The instance is public before
 any pair is drawn, so a strategy takes what it reads of the instance
 when it is built and is then called with the pair alone.
+
+A trial's arithmetic is two packed sums (see `linalg.vec_mat`) and no
+throwaway element: the short image is the vector of raw chi_beta draws,
+in [0, 2 beta], times the forward matrix over an offset lowered by
+beta times the sum of its rows, which equals the centered preimage's
+product; the oracle tests a candidate's pull-back for shortness on the
+packed sum of the inverse matrix, without building the pull-back.
 """
 
 import math
@@ -16,8 +23,10 @@ from functools import cached_property
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .errors import BetaOutOfRange, BetaTooLarge, InvariantBreach
-from .gring import Isomorphism, RingCtx, RingElem, _wrap_elem, build_ring_iso, iso_from_phi_x
+from . import linalg
+from .errors import BetaOutOfRange, BetaTooLarge, CtxMismatch, InvariantBreach
+from .gring import Isomorphism, RingCtx, RingElem, _image, _wrap_elem, build_ring_iso
+from .gring import iso_from_phi_x
 from .poly import _trim, random_monic_irreducible
 from .zmod import Modulus, draws
 
@@ -69,8 +78,14 @@ class GriInstance:
         return self if self.secret is None else replace(self, secret=None)
 
     @cached_property
-    def _chi(self) -> ChiBeta:
-        return ChiBeta(self.params.beta, self.secret.src)
+    def _chi_packed(self) -> tuple[tuple[int, ...], int, int]:
+        """The forward packing of the secret iso for raw chi_beta draws x in [0, 2 beta]^n.
+
+        ChiBeta checks beta first, and nothing is cached when it raises,
+        so an out-of-range beta raises on every use.
+        """
+        chi = ChiBeta(self.params.beta, self.secret.src)
+        return linalg._lowered(self.secret.iso._packed[0], chi.beta)
 
 
 def instance_from_iso(iso: Isomorphism, beta: int, k: int, rng: random.Random) -> GriInstance:
@@ -106,7 +121,9 @@ def challenge_from_instance(
     exactly one member being a short image, and the index of that image."""
     if inst.secret is None:
         raise ValueError("challenge generation requires the instance secret")
-    image = inst.secret.iso.apply(inst._chi.sample(rng))
+    iso, packed = inst.secret.iso, inst._chi_packed  # checks beta before any draw
+    # the image of ChiBeta.sample's preimage, from the same n draws without the preimage
+    image = _image(draws(rng, iso.src.n, 2 * inst.params.beta + 1), packed, iso.dst)
     noise = inst.dst.random_elem(rng)
     bit = draws(rng, 1, 2)[0]  # rng.randrange(2)
     return ((image, noise) if bit == 0 else (noise, image)), bit
@@ -131,19 +148,24 @@ def oracle_strategy(secret: GriSecret, beta: int) -> Strategy:
     out: it cannot be short. A screened-out last candidate settles the
     pair at 0 when the first is in the destination ring (either the
     first is short or neither is), with no pull-back. Otherwise a
-    screened-out first candidate is skipped and full pull-backs decide,
-    so a game pair takes none when the uniform element comes last and
-    one when it comes first, unless its coefficient 0 is within beta.
+    screened-out first candidate is skipped and box tests decide, so a
+    game pair takes none when the uniform element comes last and one
+    when it comes first, unless its coefficient 0 is within beta. A box
+    test (`linalg._in_box`) reads the slots of the candidate's packed
+    product with the inverse matrix and builds no pull-back element; as
+    a full pull-back would, it refuses a candidate of another ring.
     """
     iso, m = secret.iso, secret.iso.src.m
     col0 = [row[0] % m for row in iso.bwd]
+    inverse = iso._packed[1]
 
     def out(cand: RingElem) -> bool:
         return cand.ctx is iso.dst and 0 <= beta < sum(map(mul, cand.coeffs, col0)) % m < m - beta
 
     def short(cand: RingElem) -> bool:
-        cs = iso.apply_inverse(cand).coeffs
-        return not cs or -beta <= min(cs) and max(cs) <= beta
+        if cand.ctx is not iso.dst and cand.ctx != iso.dst:
+            raise CtxMismatch("element is not in the destination ring")
+        return linalg._in_box(cand.coeffs, inverse, m, beta)
 
     def guess(pair: tuple[RingElem, RingElem]) -> int:
         first, last = pair

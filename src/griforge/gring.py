@@ -288,17 +288,17 @@ class Isomorphism:
     def apply(self, a: RingElem) -> RingElem:
         if a.ctx is not self.src and a.ctx != self.src:
             raise CtxMismatch("element is not in the source ring")
-        return _image(a, self._packed[0], self.dst)
+        return _image(a.coeffs, self._packed[0], self.dst)
 
     def apply_inverse(self, a: RingElem) -> RingElem:
         if a.ctx is not self.dst and a.ctx != self.dst:
             raise CtxMismatch("element is not in the destination ring")
-        return _image(a, self._packed[1], self.src)
+        return _image(a.coeffs, self._packed[1], self.src)
 
 
-def _image(a: RingElem, packed, ctx: _Quotient) -> RingElem:
-    """The element of ctx whose coefficient vector is a's times the packed matrix."""
-    cs = _trim(linalg.vec_mat(a.coeffs, packed, ctx.m))  # centered, degree < n
+def _image(v, packed, ctx: _Quotient) -> RingElem:
+    """The element of ctx whose coefficient vector is v times the packed matrix (see vec_mat)."""
+    cs = _trim(linalg.vec_mat(v, packed, ctx.m))  # centered, degree < n
     return _wrap_elem(tuple(cs), ctx)
 
 

@@ -26,10 +26,40 @@ def vec_mat(v, packed, m: int) -> list[int]:
     """v (zero-padded) times the square matrix pack_rows packed, centered mod m.
 
     One sum of v_i * row_i over the offset. v must be centered mod m,
-    the range that pack_rows sizes the offset and slot width for.
+    the range that pack_rows sizes the offset and slot width for, or be
+    raw draws x_i = v_i + k with packed from _lowered(packed, k), which
+    gives every slot the same sum.
     """
     rows, offset, w = packed
     return _unpack(sum(map(mul, v, rows), offset), w, len(rows), m)
+
+
+def _lowered(packed, k: int):
+    """packed with its offset lowered by k * sum(rows), for vectors shifted up by k.
+
+    sum((v_i + k) * row_i) is sum(v_i * row_i) + k * sum(rows), so over the
+    lowered offset vec_mat of the shifted vector is vec_mat of v itself.
+    """
+    rows, offset, w = packed
+    return rows, offset - k * sum(rows), w
+
+
+def _in_box(v, packed, m: int, beta: int) -> bool:
+    """Whether every entry of vec_mat(v, packed, m) lies in [-beta, beta].
+
+    The slots of the one packed sum are read from bit 0 up until a
+    residue r mod m lies strictly between beta and m - beta, where its
+    centered value is out of the box; no list is built. A negative beta
+    counts as 0, so a zero product is in the box at every beta; a beta
+    of at least m/2 admits every vector.
+    """
+    rows, offset, w = packed
+    x, mask, b = sum(map(mul, v, rows), offset), (1 << w) - 1, max(beta, 0)
+    for _ in rows:
+        if b < (x & mask) % m < m - b:
+            return False
+        x >>= w
+    return True
 
 
 def _row_reduce(rows, m: int, p: int):

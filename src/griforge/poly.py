@@ -20,7 +20,7 @@ on residues in [0, m): `_canon`, `_fp_inv` and Ben-Or's gcd run on it.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from math import isqrt
 from operator import index
@@ -173,10 +173,16 @@ def _fp_inv(a, p, fb):
 
 @dataclass(frozen=True, slots=True)
 class Poly:
-    """A defining polynomial over Z/p^sZ; the constructor makes its coefficients canonical."""
+    """A defining polynomial over Z/p^sZ; the constructor makes its coefficients canonical.
+
+    `_irreducible` keeps the verdict of `is_irreducible_mod_p` once it is
+    computed (None before), outside equality, hash and repr; the
+    reduction mod p inherits it, since it has the same reduction.
+    """
 
     coeffs: tuple[int, ...]
     modulus: Modulus
+    _irreducible: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _canon(self.coeffs, self.modulus.m))
@@ -194,7 +200,9 @@ class Poly:
 
     def reduce_mod_p(self) -> "Poly":
         """Coefficient-wise reduction into F_p; result lives modulo (p, 1)."""
-        return Poly(self.coeffs, self.modulus.residue)
+        fbar = Poly(self.coeffs, self.modulus.residue)
+        object.__setattr__(fbar, "_irreducible", self._irreducible)
+        return fbar
 
     def __repr__(self):
         return f"{_pretty(self.coeffs)} (mod {self.modulus!r})"
@@ -253,15 +261,25 @@ def is_irreducible_mod_p(f: Poly) -> bool:
     Ben-Or's test (1981): x^(p^d) - x is the product of the monic
     irreducibles of degree dividing d, and a reducible fbar of degree n
     has an irreducible factor of degree d <= n/2. So fbar is irreducible
-    iff gcd(x^(p^d) - x, fbar) = 1 for every d <= n/2; the loop stops at
-    the first d that finds a factor. While p^d < n, x^(p^d) is its own
-    remainder, so the reduction matrix of fbar is built at the first
-    step with p^d >= n, and not at all when an earlier gcd finds a factor.
+    iff gcd(x^(p^d) - x, fbar) = 1 for every d <= n/2. The verdict is
+    kept on f, so a second call on f, or on its `reduce_mod_p`, looks it up.
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("irreducibility test requires a monic polynomial of degree >= 1")
-    p, n = f.modulus.p, f.degree
-    fb = [c % p for c in f.coeffs]
+    if f._irreducible is None:
+        p = f.modulus.p
+        object.__setattr__(f, "_irreducible", _ben_or([c % p for c in f.coeffs], p))
+    return f._irreducible
+
+
+def _ben_or(fb, p) -> bool:
+    """Ben-Or's loop on the residues fb of a monic fbar of degree n over F_p.
+
+    It stops at the first d that finds a factor. While p^d < n, x^(p^d)
+    is its own remainder, so the reduction matrix of fbar is built at the
+    first step with p^d >= n, and not at all when an earlier gcd finds a factor.
+    """
+    n = len(fb) - 1
     q, red, h = 1, None, [0, 1]  # h = x^(p^d) mod fbar after step d
     for _ in range(n // 2):
         q *= p  # p^d: h is the bare monomial x^q while q < n

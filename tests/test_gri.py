@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from griforge import (
     challenge_from_instance,
     gen_instance,
     instance_from_iso,
+    is_irreducible_mod_p,
     oracle_strategy,
     random_guess_strategy,
     random_monic_irreducible,
@@ -24,9 +26,9 @@ from griforge import (
     run_distinguisher_experiment,
     wilson_interval,
 )
+from griforge import linalg, poly
 from griforge.cli import serialize_instance
 from griforge.errors import BetaOutOfRange, BetaTooLarge, CtxMismatch
-from griforge.gring import Isomorphism
 from helpers import full_pullback_guess, reference_experiment
 
 
@@ -87,6 +89,20 @@ def test_gen_instance_s1_collapses_to_field_case():
     assert inst.dst.m == 5
     for pre, img in zip(inst.secret.preimages, inst.images):
         assert inst.secret.iso.apply(pre) == img
+
+
+def test_gen_instance_runs_ben_or_once_per_polynomial(monkeypatch):
+    # random_monic_irreducible, RingCtx's residue field and find_root all need the
+    # verdict of f's reduction, the first two that of big_f's: each is computed once
+    runs = Counter()
+    ben_or = poly._ben_or
+    monkeypatch.setattr(poly, "_ben_or", lambda fb, p: runs.update([tuple(fb)]) or ben_or(fb, p))
+    inst = gen_instance(2, 32, 24, 1, 12, random.Random(5))
+    f, big_f = inst.secret.src.f, inst.dst.f
+    fb, big_fb = (tuple(c % 2 for c in g.coeffs) for g in (f, big_f))
+    assert fb != big_fb and runs[fb] == 1 and runs[big_fb] == 1
+    assert is_irreducible_mod_p(Poly(f.coeffs, f.modulus))  # a new object is tested again
+    assert runs[fb] == 2
 
 
 def test_public_only_strips_secret():
@@ -258,12 +274,13 @@ def test_oracle_ctx_equal_but_not_identical_and_foreign():
 
 
 def test_oracle_pulls_back_only_a_uniform_first_candidate(monkeypatch):
+    # the oracle tests a pull-back's shortness on its packed sum (linalg._in_box)
     rng = random.Random(26)
     inst = gen_instance(2, 32, 24, 1, 12, rng)
     guess = oracle_strategy(inst.secret, 1)
     calls = []
-    pull_back = Isomorphism.apply_inverse
-    monkeypatch.setattr(Isomorphism, "apply_inverse", lambda iso, b: calls.append(b) or pull_back(iso, b))
+    in_box = linalg._in_box
+    monkeypatch.setattr(linalg, "_in_box", lambda v, *rest: calls.append(v) or in_box(v, *rest))
     counts = {0: set(), 1: set()}
     for _ in range(400):
         pair, bit = challenge_from_instance(inst, rng)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from griforge import Modulus, Poly, RingCtx, eval_poly, random_monic_irreducible  # noqa: E402
 from griforge.errors import NotAUnit  # noqa: E402
-from griforge.linalg import pack_rows, vec_mat  # noqa: E402
+from griforge.linalg import _in_box, _lowered, pack_rows, vec_mat  # noqa: E402
 from griforge.poly import _canon, _fp_inv, _pack, _raw_divmod, _rem_matrix, _rem_slots  # noqa: E402
 from griforge.poly import _unpack  # noqa: E402
 from griforge.zmod import MAX_MODULUS_BITS, centered  # noqa: E402
@@ -164,6 +164,58 @@ def _vector_and_matrix(draw, max_n=8):
 def test_offset_vec_mat_matches_plain_sum(mva):
     m, v, a = mva
     assert vec_mat(v, pack_rows(a, m), m) == _plain_vec_mat(v, a, m)
+
+
+@st.composite
+def _raw_draws_and_matrix(draw, max_n=8):
+    m = draw(MODULI)
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    a = draw(st.lists(st.lists(_ints(m), min_size=n, max_size=n), min_size=n, max_size=n))
+    top = (m - 1) // 2
+    beta = draw(st.one_of(st.sampled_from([0, top]), st.integers(min_value=0, max_value=top)))
+    edges = st.sampled_from([0, beta, 2 * beta])
+    x = draw(st.lists(st.one_of(edges, st.integers(0, 2 * beta)), min_size=n, max_size=n))
+    return m, beta, x, a
+
+
+# n = 1 at the widest beta, 2 beta + 1 <= m, with draws at both ends of [0, 2 beta]
+@given(_raw_draws_and_matrix())
+@example((2, 0, [0], [[1]]))
+@example((3, 1, [0], [[1]]))
+@example((3, 1, [2], [[2]]))
+@example((2**8, 127, [0], [[1]]))
+@example((2**8, 127, [254], [[255]]))
+@example((3**5, 121, [0], [[-1]]))
+@example((3**5, 121, [242], [[1]]))
+@example((2**32, 2**31 - 1, [0], [[1]]))
+@example((2**32, 2**31 - 1, [2**32 - 2], [[2**32 - 1]]))
+def test_lowered_packing_takes_raw_draws(mbxa):
+    # challenge_from_instance feeds chi_beta's raw draws in [0, 2 beta] to vec_mat
+    m, beta, x, a = mbxa
+    packed = pack_rows(a, m)
+    assert vec_mat(x, _lowered(packed, beta), m) == vec_mat([c - beta for c in x], packed, m)
+
+
+@given(_vector_and_matrix())
+@example((2, [], [[1]]))  # the zero vector, in the box even at beta = -1
+@example((3, [1], [[1]]))  # slot residues 1 and m - 1: both edges of the box
+@example((3, [-1], [[1]]))
+@example((4, [-1, 2], [[3, 3], [3, 3]]))
+@example((9, [-4, -4], [[8, 8], [8, 8]]))
+@example((2**32, [2**31, 1 - 2**31], [[-1, 7], [2**32, -(2**31)]]))
+def test_in_box_matches_min_max_of_vec_mat(mva):
+    m, v, a = mva
+    packed = pack_rows(a, m)
+    out = vec_mat(v, packed, m)
+    if m <= 2**8:
+        betas = range(-1, m + 1)
+    else:  # the answer changes only where beta crosses an entry's absolute value
+        edges = {abs(c) + d for c in out for d in (-1, 0, 1)}
+        betas = sorted(edges | {-1, 0, (m - 1) // 2, m // 2, m - 1, m})
+    for beta in betas:
+        # the oracle's test on the pulled-back coefficients: zero is short at every beta
+        want = not any(out) or -beta <= min(out) and max(out) <= beta
+        assert _in_box(v, packed, m, beta) == want, beta
 
 
 # One ring per modulus: 2^8, 3^10, 251 (the residue field F_251^4) and the widest 2^4096.
