@@ -4,7 +4,7 @@ deliberately kept apart from the library code paths they check."""
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 from griforge import (
     ChiBeta,
@@ -16,6 +16,9 @@ from griforge import (
     hnf_row_basis,
     wilson_interval,
 )
+from griforge.errors import NoRoot
+from griforge.ffield import _tdivmod, _tgcd, _tmul, _trem, _trev_inv
+from griforge.poly import _raw_add, _trim
 
 
 def schoolbook_rem(a, f, m):
@@ -142,6 +145,30 @@ def reference_experiment(params, distinguisher, trials, rng, instance=None):
             successes += 1
     low, high = wilson_interval(successes, trials)
     return ExperimentReport(trials, successes, successes / trials, low, high)
+
+
+def list_kernel_f2_root(g: Poly, field, rng):
+    """find_root's p = 2 splitting on the list kernel, as written before the packed one:
+    the absolute trace of delta*t by _tmul and _trem, then _tgcd and _tdivmod. Returns
+    the root's coefficients; g must already pass find_root's checks."""
+    n, fb, red = field.n, list(field.f.coeffs), field._rem_matrix
+    h = [[c] if c else [] for c in g.coeffs]
+    hinv = _trev_inv(h, 2, red)
+    attempts = 0
+    while len(h) > 2:
+        attempts += 1
+        if attempts > 64 * (n + 1):
+            raise NoRoot("equal-degree splitting did not converge")
+        u = _trim([[], list(field.random_elem(rng).coeffs)])
+        w = list(u)
+        for _ in range(n - 1):
+            u = _trem(_tmul(u, u, 2, red), h, hinv, 2, red)
+            w = _trim([_raw_add(a, b, 2) for a, b in zip_longest(w, u, fillvalue=[])])
+        d = _tgcd(h, w, 2, fb, red)
+        if 1 < len(d) < len(h):
+            h = d if 2 * len(d) <= len(h) + 1 else _tdivmod(h, d, 2, fb, red)[0]
+            hinv = _trev_inv(h, 2, red)
+    return field.elem([-c for c in h[0]]).rep.coeffs
 
 
 def field_roots(g: Poly, field):

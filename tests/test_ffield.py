@@ -18,7 +18,7 @@ from griforge import (
 from griforge.errors import CtxMismatch, NoRoot, NotAUnit, NotIrreducible, ParamMismatch
 from griforge.ffield import _tdivmod, _tgcd, _tmul, _trem, _trev_inv
 from griforge.poly import _raw_add, _trim
-from helpers import field_roots
+from helpers import field_roots, list_kernel_f2_root
 
 M2 = Modulus(2, 1)
 M3 = Modulus(3, 1)
@@ -163,12 +163,22 @@ def test_tdivmod_and_tgcd_by_non_monic_divisors(p, n):
 # n = 1 needs no splitting.
 GOLDEN_ROOTS = [
     (2, (0, 1), (1, 1), 0, (), 7106521602475165645),
+    (2, (1, 1, 1), (1, 1, 1), 0, (0, 1), 4776171008201404212),
+    (2, (1, 1, 1), (1, 1, 1), 2, (1, 1), 3119042104763040036),
+    (2, (1, 1, 0, 1), (1, 0, 1, 1), 0, (1, 1), 17809683713383489082),
+    (2, (1, 1, 0, 1), (1, 0, 1, 1), 1, (1, 0, 1), 9139164268605729673),
     (2, (1, 0, 1, 0, 1, 1, 1), (1, 0, 0, 1, 0, 0, 1), 0, (1, 1, 0, 1, 1, 1), 14458531974522955699),
     (2, (1, 0, 1, 0, 1, 1, 1), (1, 0, 0, 1, 0, 0, 1), 1, (1, 1, 0, 1, 1, 1), 15417145005318368486),
     (2, (1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1),
      0, (0, 1, 0, 0, 1, 1, 1, 1, 1), 10192262804094026689),
     (2, (1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1),
      1, (1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1), 7786676433640950850),
+    (2, (1, 1, 0, 1, 1, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1),
+     (1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 0, 0, 0, 1),
+     0, (1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1), 15050940084311748120),
+    (2, (1, 1, 0, 1, 1, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1),
+     (1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 0, 0, 0, 1),
+     1, (0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 4186255040170865876),
     (3, (1, 1), (-1, 1), 0, (-1,), 7106521602475165645),
     (3, (-1, 1, -1, 0, -1, 1), (-1, 1, -1, 0, -1, 1), 0, (-1, 0, 1, -1), 11813726597345908409),
     (3, (-1, 1, -1, 0, -1, 1), (-1, 1, -1, 0, -1, 1), 1, (1, 0, -1, -1, 1), 14037279428536751483),
@@ -194,6 +204,46 @@ def test_find_root_golden_conjugates():
         find_root(Poly([1, 1, 1], M2), RingCtx(Poly([1, 1, 1], m8)), random.Random(0))
     with pytest.raises(NoRoot):  # x^2 + x = x(x + 1) splits over F_2 but is reducible
         find_root(Poly([0, 1, 1], M2), F4, random.Random(0))
+
+
+def test_find_root_f2_matches_list_kernel():
+    # the packed p = 2 splitting against the list kernel it replaced: the same root and
+    # the same generator state after the call, over n = 1 ... 10 and a few cases at 16.
+    # Slot sums near the width bound are rare; at n = 4 and 5 about one case in 40
+    # reaches 2^(w-1), so a slot width one bit short shows within these cases.
+    cases = [(n, c) for n in range(1, 11) for c in range(80 if n <= 6 else 8)]
+    cases += [(16, c) for c in range(3)]
+    for n, case in cases:
+        pick = random.Random(1000 * n + case)
+        g = random_monic_irreducible(M2, n, pick)
+        field = RingCtx(random_monic_irreducible(M2, n, pick))
+        seed = pick.getrandbits(32)
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert find_root(g, field, rng).rep.coeffs == list_kernel_f2_root(g, field, ref), (n, case)
+        assert rng.getstate() == ref.getstate(), (n, case)
+
+
+class _ZeroBits(random.Random):
+    """A generator whose getrandbits is always 0, counting its calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_find_root_f2_attempt_bound(n):
+    # delta = 0 on every attempt makes the trace 0, so no attempt splits: find_root gives
+    # up after 64(n + 1) field draws of n one-word coefficient draws each
+    rng = random.Random(n)
+    g = random_monic_irreducible(M2, n, rng)
+    field = RingCtx(random_monic_irreducible(M2, n, rng))
+    zero = _ZeroBits()
+    with pytest.raises(NoRoot, match="equal-degree splitting did not converge"):
+        find_root(g, field, zero)
+    assert zero.calls == 64 * (n + 1) * n
 
 
 def test_iso_identity_when_same_polynomial():
