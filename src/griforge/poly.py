@@ -16,7 +16,10 @@ Every product modulo a fixed monic f is `_mul_rem`, a packed product
 reduced by one packed vector-matrix product with the reduction matrix of
 f (`_rem_matrix`, built once by its owner), and every power is `_power`
 over such a product. `_raw_divmod` is the one long division over Z/mZ,
-on residues in [0, m): `_canon`, `_fp_inv` and Ben-Or's gcd run on it.
+on residues in [0, m): `_canon`, `_fp_inv` and Ben-Or's gcd at odd p
+run on it. Ben-Or's test at p = 2 runs on bit-packed integers instead,
+one bit per coefficient, squaring by `_f2_square` and reducing by the
+shift-and-XOR loop `_f2_rem`.
 """
 
 import random
@@ -275,11 +278,26 @@ def is_irreducible_mod_p(f: Poly) -> bool:
 def _ben_or(fb, p) -> bool:
     """Ben-Or's loop on the residues fb of a monic fbar of degree n over F_p.
 
-    It stops at the first d that finds a factor. While p^d < n, x^(p^d)
-    is its own remainder, so the reduction matrix of fbar is built at the
-    first step with p^d >= n, and not at all when an earlier gcd finds a factor.
+    It stops at the first d that finds a factor. At p = 2 it runs on
+    bit-packed integers, bit i the coefficient of x^i: the Frobenius step
+    is `_f2_square`, and the reduction modulo fbar and every Euclid
+    remainder are `_f2_rem`. While 2^d < n, x^(2^d) is its own remainder
+    and that loop does nothing. Odd p runs on the list kernel: while
+    p^d < n, x^(p^d) is the bare monomial, so the reduction matrix of fbar
+    is built at the first step with p^d >= n, and not at all when an
+    earlier gcd finds a factor; each gcd step is a `_raw_divmod` remainder.
     """
     n = len(fb) - 1
+    if p == 2:
+        f, h = int("".join(map(str, reversed(fb))), 2), 2  # h = x^(2^d) mod fbar after step d
+        for _ in range(n // 2):
+            h = _f2_rem(_f2_square(h), f)
+            a, b = f, h ^ 2  # h - x
+            while b > 1:  # Euclid until the remainder is a constant
+                a, b = b, _f2_rem(a, b)
+            if not b:  # the last nonzero remainder a is not constant: a common factor
+                return False
+        return True
     q, red, h = 1, None, [0, 1]  # h = x^(p^d) mod fbar after step d
     for _ in range(n // 2):
         q *= p  # p^d: h is the bare monomial x^q while q < n
@@ -294,6 +312,19 @@ def _ben_or(fb, p) -> bool:
         if not b:  # the last nonzero remainder a is not constant: a common factor
             return False
     return True
+
+
+def _f2_square(a):
+    """a^2 in F_2[x], bit-packed: squaring is linear over F_2, so it spreads the bits of a apart."""
+    return int("0".join(bin(a)[2:]), 2)
+
+
+def _f2_rem(a, b):
+    """a mod b in F_2[x], both bit-packed (bit i the coefficient of x^i), b nonzero."""
+    k = b.bit_length()
+    while (d := a.bit_length() - k) >= 0:
+        a ^= b << d
+    return a
 
 
 def random_monic_irreducible(modulus: Modulus, n: int, rng: random.Random) -> Poly:

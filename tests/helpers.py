@@ -18,7 +18,7 @@ from griforge import (
 )
 from griforge.errors import NoRoot
 from griforge.ffield import _tdivmod, _tgcd, _tmul, _trem, _trev_inv
-from griforge.poly import _raw_add, _trim
+from griforge.poly import _mul_rem, _power, _raw_add, _raw_divmod, _raw_sub, _rem_matrix, _trim
 
 
 def schoolbook_rem(a, f, m):
@@ -47,6 +47,16 @@ def schoolbook_mul(a, b, m):
     while out and out[-1] % m == 0:
         out.pop()
     return tuple(centered(c, m) for c in out)
+
+
+def f2_coeffs(a):
+    """The coefficients of a bit-packed polynomial over F_2 (bit i that of x^i), from x^0 up."""
+    return [int(c) for c in reversed(bin(a)[2:])] if a else []
+
+
+def f2_bits(cs):
+    """The bit-packed polynomial over F_2 with the residues mod 2 of cs as its coefficients."""
+    return sum(c % 2 << i for i, c in enumerate(cs))
 
 
 def exhaustive_irreducible(f: Poly) -> bool:
@@ -97,6 +107,27 @@ def frobenius_irreducible(f: Poly) -> bool:
             if len(a) != 1:
                 return False
     return h == x
+
+
+def list_kernel_ben_or(fb):
+    """poly._ben_or at p = 2 on the list kernel, as written before the bit-packed path:
+    Frobenius powers by _mul_rem products with fbar's reduction matrix (x^(p^d) as the
+    bare monomial while 2^d < n) and a remainder-only Euclid on _raw_divmod."""
+    n = len(fb) - 1
+    q, red, h = 1, None, [0, 1]
+    for _ in range(n // 2):
+        q *= 2
+        if q < n:
+            h = [0] * q + [1]
+        else:
+            red = red or _rem_matrix(fb, 2)
+            h = _power(h, 2, lambda a, b: _mul_rem(a, b, red, 2))
+        a, b = fb, _raw_sub(h, [0, 1], 2)
+        while len(b) > 1:
+            a, b = b, _raw_divmod(a, b, 2)[1]
+        if not b:
+            return False
+    return True
 
 
 def randrange_elem(ctx, rng):

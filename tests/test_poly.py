@@ -9,7 +9,8 @@ from griforge.errors import ModulusMismatch, ValidationError
 from griforge.ffield import _tmul
 from griforge.poly import _canon, _mul_rem, _pack, _raw_add, _raw_mul, _rem_matrix, _rem_slots
 from griforge.zmod import MAX_MODULUS_BITS
-from helpers import exhaustive_irreducible, frobenius_irreducible, randrange_monic_irreducible
+from helpers import exhaustive_irreducible, frobenius_irreducible, list_kernel_ben_or
+from helpers import randrange_monic_irreducible
 from helpers import schoolbook_mul, schoolbook_rem
 
 M4 = Modulus(2, 2)
@@ -228,6 +229,37 @@ def test_irreducibility_where_a_frobenius_step_first_reaches_n(p, n):
     verdicts = [is_irreducible_mod_p(f) for f in polys]
     assert verdicts == [frobenius_irreducible(f) for f in polys]
     assert verdicts == [True] * 10 + [False] * (n // 2)
+
+
+def _list_kernel_f2_irreducible(n, rng):
+    """Residues of a random monic irreducible of degree n over F_2, by rejection on the
+    list-kernel oracle, so a broken bit path cannot stall the sampling."""
+    while True:
+        fb = [rng.randrange(2) for _ in range(n)] + [1]
+        if list_kernel_ben_or(fb):
+            return fb
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_irreducibility_f2_matches_list_kernel(n):
+    # The bit-packed p = 2 path against the list kernel it replaced and the Frobenius
+    # criterion: an irreducible, g1 * g2 with factors of degrees n // 2 and n - n // 2
+    # (only the last step of the loop finds a factor), a square g1^2 (times x at odd n),
+    # and random monic inputs.
+    rng = random.Random(2000 + n)
+    m = Modulus(2, 1)
+    irreducible, reducible = Poly(_list_kernel_f2_irreducible(n, rng), m), []
+    if n > 1:
+        g1, g2 = (_list_kernel_f2_irreducible(d, rng) for d in (n // 2, n - n // 2))
+        square = schoolbook_mul(g1, g1, 2)
+        reducible = [Poly(schoolbook_mul(g1, g2, 2), m),
+                     Poly(schoolbook_mul(square, (0, 1), 2) if n % 2 else square, m)]
+    polys = [irreducible, *reducible]
+    polys += [Poly([rng.randrange(2) for _ in range(n)] + [1], m) for _ in range(8)]
+    verdicts = [is_irreducible_mod_p(f) for f in polys]
+    assert verdicts == [list_kernel_ben_or([c % 2 for c in f.coeffs]) for f in polys]
+    assert verdicts == [frobenius_irreducible(f) for f in polys]
+    assert verdicts[: 1 + len(reducible)] == [True] + [False] * len(reducible)
 
 
 def test_irreducibility_lifted_agrees_with_reduction():

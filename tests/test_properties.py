@@ -6,6 +6,7 @@ same examples.
 """
 
 import random
+from functools import cache
 from itertools import zip_longest
 from math import gcd
 
@@ -18,10 +19,10 @@ from hypothesis import strategies as st  # noqa: E402
 from griforge import Modulus, Poly, RingCtx, eval_poly, random_monic_irreducible  # noqa: E402
 from griforge.errors import NotAUnit  # noqa: E402
 from griforge.linalg import _in_box, _lowered, pack_rows, vec_mat  # noqa: E402
-from griforge.poly import _canon, _fp_inv, _pack, _raw_divmod, _rem_matrix, _rem_slots  # noqa: E402
-from griforge.poly import _unpack  # noqa: E402
+from griforge.poly import _canon, _f2_rem, _f2_square, _fp_inv, _pack, _raw_divmod  # noqa: E402
+from griforge.poly import _rem_matrix, _rem_slots, _unpack  # noqa: E402
 from griforge.zmod import MAX_MODULUS_BITS, centered  # noqa: E402
-from helpers import ring_horner, schoolbook_mul, schoolbook_rem  # noqa: E402
+from helpers import f2_bits, f2_coeffs, ring_horner, schoolbook_mul, schoolbook_rem  # noqa: E402
 
 # Prime powers the rings use, composite moduli the kernels also accept, and the widest modulus.
 MODULI = st.one_of(
@@ -126,14 +127,39 @@ def test_raw_divmod_by_monic_matches_long_division(mfa):
     assert tuple(centered(c, m) for c in _raw_divmod(a, f, m)[1]) == schoolbook_rem(a, f, m)
 
 
-FIELDS = {(p, n): list(random_monic_irreducible(Modulus(p, 1), n, random.Random(p * n)).coeffs)
-          for p, n in [(2, 6), (3, 5), (13, 4)]}
+@given(st.integers(min_value=0, max_value=2**140))
+@example(0)
+@example(1)
+def test_f2_square_matches_schoolbook_mul(a):
+    assert _f2_square(a) == f2_bits(schoolbook_mul(f2_coeffs(a), f2_coeffs(a), 2))
+
+
+@given(st.integers(min_value=0, max_value=2**140), st.integers(min_value=1, max_value=2**70))
+@example(0, 1)
+@example(5, 1)  # a constant divisor: remainder 0
+@example(0b1011, 0b1011)  # equal degrees: one shift-and-XOR step, of shift 0
+@example(0b1000, 0b1011)
+@example(0b11, 0b1011)  # a below b is its own remainder
+@example(0b1000000, 0b1011)  # x^6 mod x^3 + x + 1: a square's degree, 2 deg b
+def test_f2_rem_matches_schoolbook_rem(a, b):
+    assert _f2_rem(a, b) == f2_bits(schoolbook_rem(f2_coeffs(a), f2_coeffs(b), 2))
+
+
+FIELDS = [(2, 6), (3, 5), (13, 4)]
+
+
+@cache
+def _field(p, n):
+    """The defining polynomial of a seeded F_{p^n}, sampled on first use rather than at
+    import, so a kernel fault that stalls the sampling fails the tests that use it
+    instead of the collection of this module."""
+    return list(random_monic_irreducible(Modulus(p, 1), n, random.Random(p * n)).coeffs)
 
 
 @pytest.mark.parametrize("p, n", FIELDS, ids=[f"{p}^{n}" for p, n in FIELDS])
 @given(data=st.data())
 def test_fp_inv_is_the_inverse_modulo_fbar(p, n, data):
-    fb = FIELDS[p, n]
+    fb = _field(p, n)
     a = list(_canon(data.draw(st.lists(_ints(p), min_size=1, max_size=n)), p))
     if not a:
         a = [data.draw(st.integers(min_value=1, max_value=p - 1))]
@@ -219,11 +245,14 @@ def test_in_box_matches_min_max_of_vec_mat(mva):
 
 
 # One ring per modulus: 2^8, 3^10, 251 (the residue field F_251^4) and the widest 2^4096.
-RINGS = [
-    RingCtx(random_monic_irreducible(Modulus(p, s), n, random.Random(p + s + n)))
-    for p, s, n in [(2, 8, 6), (3, 10, 8), (251, 1, 4), (2, MAX_MODULUS_BITS, 5)]
-]
+RINGS = [(2, 8, 6), (3, 10, 8), (251, 1, 4), (2, MAX_MODULUS_BITS, 5)]
 RING_IDS = ["2^8", "3^10", "251", "2^4096"]
+
+
+@cache
+def _ring(p, s, n):
+    """A seeded GR(p^s, n), built on first use like _field."""
+    return RingCtx(random_monic_irreducible(Modulus(p, s), n, random.Random(p + s + n)))
 
 
 @st.composite
@@ -239,10 +268,11 @@ def _point(draw, ctx):
     return kind, a if a.is_unit() else a + ctx.one()
 
 
-@pytest.mark.parametrize("ctx", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("spec", RINGS, ids=RING_IDS)
 @pytest.mark.parametrize("shape", ["zero", "0", "1", "n-1", "n", "2n+1"])
 @given(data=st.data())
-def test_eval_poly_matches_horner(ctx, shape, data):
+def test_eval_poly_matches_horner(spec, shape, data):
+    ctx = _ring(*spec)
     # the degrees pin Paterson-Stockmeyer's block edges: k = 1 at degree 0, and
     # deg g + 1 both a multiple of k and not one across the rings
     n, m = ctx.n, ctx.m
@@ -255,9 +285,10 @@ def test_eval_poly_matches_horner(ctx, shape, data):
     assert eval_poly(g, a) == ring_horner(g, a)
 
 
-@pytest.mark.parametrize("ctx", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("spec", RINGS, ids=RING_IDS)
 @given(data=st.data())
-def test_inverse_of_a_unit_and_none_in_p(ctx, data):
+def test_inverse_of_a_unit_and_none_in_p(spec, data):
+    ctx = _ring(*spec)
     kind, a = data.draw(_point(ctx))
     if kind == "unit":
         assert a * a.inv() == ctx.one()
