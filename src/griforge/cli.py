@@ -520,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gh-factor", dest="gh_factor", type=float, default=DEFAULT_GH_FACTOR)
     sp.add_argument("--in", dest="infile", required=True, help="instance file")
     sp.add_argument("--out", default=None, help="optional report file")
-    sp.add_argument("--seed", type=int, default=None, help="unused, accepted for uniformity")
 
     sp = sub.add_parser("distinguish", help="measure a distinguisher's success rate")
     sp.add_argument("--trials", type=int, required=True)
@@ -532,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("crt-combine", help="combine params files into a composite ring")
     sp.add_argument("--in", dest="infile", action="append", required=True, help="repeatable")
     sp.add_argument("--out", default="-")
-    sp.add_argument("--seed", type=int, default=None, help="unused, accepted for uniformity")
 
     return parser
 

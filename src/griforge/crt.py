@@ -73,6 +73,7 @@ class CompositeCtx(_Quotient):
 
     @classmethod
     def from_components(cls, components: Sequence[RingCtx]) -> "CompositeCtx":
+        # kept as a named constructor: bench/tracer.py wraps it for the crt.from_components_s span
         return cls(tuple(components))
 
     @cached_property

@@ -185,8 +185,9 @@ class ExperimentReport:
     wilson_high: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = 1.96) for a binomial proportion."""
+    z = 1.96
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError(f"need trials >= 1 and 0 <= successes <= trials, got {successes}/{trials}")
     phat = successes / trials

@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import index
 
 from .errors import BadDelta, CtxMismatch, InvariantBreach
 from .gri import GriInstance
@@ -27,7 +28,8 @@ DEFAULT_GH_FACTOR = 0.8
 
 
 def _validate_matrix(rows) -> list[list[int]]:
-    rows = [list(map(int, r)) for r in rows]
+    """The rows as int lists; TypeError on a non-integer entry, as `Poly` raises."""
+    rows = [list(map(index, r)) for r in rows]
     if not rows:
         raise ValueError("empty matrix")
     width = len(rows[0])
@@ -103,7 +105,7 @@ def hnf_row_basis(rows) -> tuple[list[list[int]], list[list[int]]]:
 def solve_in_basis(v, basis) -> list[int] | None:
     """Integer coordinates of v in an echelon row basis, or None; ValueError if v is
     not as long as the rows are wide."""
-    res = list(map(int, v))
+    res = list(map(index, v))
     if basis and len(res) != len(basis[0]):
         raise ValueError(f"vector of length {len(res)} against rows of width {len(basis[0])}")
     coords = []
@@ -214,11 +216,11 @@ class CandidateVector:
     combo: tuple[int, ...] | None = None  # mod-p^s weights on the image rows
 
 
-def extract_short_vectors(reduced, beta: int, norm_bound_sq=None):
+def extract_short_vectors(reduced, beta: int, norm_bound_sq):
     """Reduced-basis vectors of sup-norm <= beta, closed under negation.
 
-    norm_bound_sq optionally caps the squared Euclidean length (used to
-    demand shortness relative to the lattice, not just entry size).
+    norm_bound_sq caps the squared Euclidean length, to demand shortness
+    relative to the lattice and not just entry size; math.inf caps nothing.
     """
     seen = set()
     out = []
@@ -228,7 +230,7 @@ def extract_short_vectors(reduced, beta: int, norm_bound_sq=None):
         if max(abs(x) for x in row) > beta:
             continue
         nsq = sum(x * x for x in row)
-        if norm_bound_sq is not None and nsq > norm_bound_sq:
+        if nsq > norm_bound_sq:
             continue
         for vec in (tuple(row), tuple(-x for x in row)):
             if vec not in seen:

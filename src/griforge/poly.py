@@ -30,7 +30,7 @@ from operator import index
 from typing import Sequence
 
 from .errors import ModulusMismatch
-from .zmod import Modulus, centered, draws, invmod
+from .zmod import Modulus, centered, draws
 
 
 def _trim(cs: list) -> list:
@@ -171,7 +171,7 @@ def _fp_inv(a, p, fb):
     while r1:
         q, r = _raw_divmod(r0, r1, p)
         r0, r1, u0, u1 = r1, r, u1, _raw_sub(u0, _raw_mul(q, u1, p), p)
-    return _raw_mul(u0, [invmod(r0[0], p)], p)
+    return _raw_mul(u0, [pow(r0[0], -1, p)], p)
 
 
 @dataclass(frozen=True, slots=True)

@@ -71,14 +71,6 @@ def draws(rng, count: int, bound: int) -> list[int]:
     return out
 
 
-def invmod(a: int, m: int) -> int:
-    """Centered inverse of a modulo m; ValueError when gcd(a, m) != 1."""
-    try:
-        return centered(pow(a, -1, m), m)
-    except ValueError:
-        raise ValueError(f"{a} is not invertible modulo {m}") from None
-
-
 @dataclass(frozen=True)
 class Modulus:
     """A prime-power modulus p^s."""

@@ -7,18 +7,17 @@ from fractions import Fraction
 from itertools import product, zip_longest
 
 from griforge import (
-    ChiBeta,
     ExperimentReport,
     Poly,
-    centered,
     eval_poly,
     gen_instance,
     hnf_row_basis,
-    wilson_interval,
 )
 from griforge.errors import NoRoot
 from griforge.ffield import _tdivmod, _tgcd, _tmul, _trem, _trev_inv
+from griforge.gri import ChiBeta, wilson_interval
 from griforge.poly import _mul_rem, _power, _raw_add, _raw_divmod, _raw_sub, _rem_matrix, _trim
+from griforge.zmod import centered
 
 
 def schoolbook_rem(a, f, m):

@@ -42,6 +42,7 @@ F2_BEN_OR = "tests/test_poly.py::test_irreducibility_f2_matches_list_kernel"
 IN_BOX = "tests/test_properties.py::test_in_box_matches_min_max_of_vec_mat"
 LOWERED = "tests/test_properties.py::test_lowered_packing_takes_raw_draws"
 F2_ROOT = "tests/test_ffield.py::test_find_root_f2_matches_list_kernel"
+NON_INTEGER = "tests/test_lattice.py::test_entry_points_refuse_non_integer_entries"
 
 # (name, file, old text, new text, node ids that must fail)
 ROWS = [
@@ -61,8 +62,7 @@ ROWS = [
     ("eval-block-short", POLY,
      "zip(cs[j : j + k], baby)",
      "zip(cs[j : j + k - 1], baby)",
-     ["tests/test_properties.py::test_eval_poly_matches_horner[n-2^8]",
-      "tests/test_properties.py::test_eval_poly_matches_horner[2n+1-3^10]"]),
+     ["tests/test_properties.py::test_eval_poly_matches_horner"]),
     ("in-box-low-edge", LINALG,
      "if b < (x & mask) % m < m - b:",
      "if b <= (x & mask) % m < m - b:",
@@ -92,6 +92,14 @@ ROWS = [
      "        if r == nr:\n            break\n",
      "",
      ["tests/test_lattice.py::test_hnf_row_basis_of_wide_full_rank_rows"]),
+    ("lattice-rows-by-int", LATTICE,
+     "rows = [list(map(index, r)) for r in rows]",
+     "rows = [list(map(int, r)) for r in rows]",
+     [NON_INTEGER]),
+    ("lattice-vector-by-int", LATTICE,
+     "res = list(map(index, v))",
+     "res = list(map(int, v))",
+     [NON_INTEGER]),
     ("extract-keeps-zero-rows", LATTICE,
      "        if not any(row):\n            continue\n",
      "",

@@ -15,21 +15,20 @@ from griforge import (
     build_ring_iso,
     crt_combine_elems,
     crt_combine_polys,
-    crt_ints,
     field_iso_from_root,
-    instance_from_iso,
     is_irreducible_mod_p,
-    iso_from_phi_x,
     random_monic_irreducible,
     reduce_to_ffi,
-    ring_iso_from_field_root,
 )
+from griforge.crt import crt_ints
 from griforge.errors import (
     CtxMismatch,
     DegreeMismatch,
     ModuliNotCoprime,
     ParamMismatch,
 )
+from griforge.gri import instance_from_iso
+from griforge.gring import iso_from_phi_x, ring_iso_from_field_root
 
 F1 = Poly([1, 1, 1], Modulus(2, 2))  # x^2 + x + 1 mod 4
 F2 = Poly([1, 0, 1], Modulus(3, 2))  # x^2 + 1 mod 9

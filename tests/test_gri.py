@@ -8,27 +8,24 @@ from dataclasses import replace
 import pytest
 
 from griforge import (
-    ChiBeta,
     ExperimentReport,
     GriParams,
     Modulus,
     Poly,
     RingCtx,
     RingElem,
-    challenge_from_instance,
     gen_instance,
-    instance_from_iso,
     is_irreducible_mod_p,
     oracle_strategy,
     random_guess_strategy,
     random_monic_irreducible,
     reduce_to_ffi,
     run_distinguisher_experiment,
-    wilson_interval,
 )
 from griforge import linalg, poly
 from griforge.cli import serialize_instance
 from griforge.errors import BetaOutOfRange, BetaTooLarge, CtxMismatch
+from griforge.gri import ChiBeta, challenge_from_instance, instance_from_iso, wilson_interval
 from helpers import full_pullback_guess, reference_experiment
 
 

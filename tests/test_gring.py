@@ -3,7 +3,6 @@ import random
 import pytest
 
 from griforge import (
-    ChiBeta,
     CompositeCtx,
     Modulus,
     Poly,
@@ -15,9 +14,7 @@ from griforge import (
     find_root,
     hensel_iterates,
     hensel_lift,
-    iso_from_phi_x,
     random_monic_irreducible,
-    ring_iso_from_field_root,
 )
 from griforge.errors import (
     CtxMismatch,
@@ -27,6 +24,8 @@ from griforge.errors import (
     NotAUnit,
     ParamMismatch,
 )
+from griforge.gri import ChiBeta
+from griforge.gring import iso_from_phi_x, ring_iso_from_field_root
 from griforge.linalg import pack_rows, vec_mat
 from griforge.zmod import MAX_MODULUS_BITS, centered
 from helpers import hensel_all_steps, mat_mul, ring_horner, schoolbook_rem

@@ -7,16 +7,14 @@ import pytest
 from griforge import (
     Modulus,
     build_attack_lattice,
-    extract_short_vectors,
     gen_instance,
     hnf_row_basis,
     in_lattice,
     lll_reduce,
-    render_report,
     run_attack,
-    solve_in_basis,
 )
 from griforge.errors import BadDelta, CtxMismatch
+from griforge.lattice import extract_short_vectors, render_report, solve_in_basis
 from helpers import (
     enumerate_shortest,
     fraction_lll,
@@ -205,13 +203,26 @@ def test_membership_rejects_a_vector_of_another_length(v):
         in_lattice(v, [[0, 0]])  # a zero lattice has an empty echelon basis
 
 
+def test_entry_points_refuse_non_integer_entries():
+    # Entries go through operator.index, as Poly's do: int() would truncate 1.5 and parse "3".
+    for bad in (1.5, "3"):
+        with pytest.raises(TypeError):
+            lll_reduce([[bad, 0], [0, 1]])
+        with pytest.raises(TypeError):
+            hnf_row_basis([[3, 0], [0, bad]])
+        with pytest.raises(TypeError):
+            in_lattice([1, 0], [[bad, 0], [0, 1]])
+        with pytest.raises(TypeError):
+            in_lattice([bad, 0], [[1, 0], [0, 1]])
+
+
 def test_extract_empty_when_nothing_short():
-    assert extract_short_vectors([[100, 0], [0, 100]], 1) == []
+    assert extract_short_vectors([[100, 0], [0, 100]], 1, math.inf) == []
 
 
 def test_extract_closed_under_negation_and_verified():
     reduced = [[1, 0, -1], [5, 5, 5], [0, 0, 0], [0, 1, 1]]
-    cands = extract_short_vectors(reduced, 1)
+    cands = extract_short_vectors(reduced, 1, math.inf)
     vectors = {c.vector for c in cands}
     assert (0, 0, 0) not in vectors  # a zero row is no candidate
     assert (1, 0, -1) in vectors and (-1, 0, 1) in vectors

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given  # noqa: E402
+from hypothesis import Phase, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from griforge import Modulus, Poly, RingCtx, eval_poly, random_monic_irreducible  # noqa: E402
@@ -270,6 +270,8 @@ def _point(draw, ctx):
 
 @pytest.mark.parametrize("spec", RINGS, ids=RING_IDS)
 @pytest.mark.parametrize("shape", ["zero", "0", "1", "n-1", "n", "2n+1"])
+# No shrink phase: shrinking a failure over moduli up to 2^4096 takes seconds per case.
+@settings(phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(data=st.data())
 def test_eval_poly_matches_horner(spec, shape, data):
     ctx = _ring(*spec)

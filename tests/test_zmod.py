@@ -4,19 +4,16 @@ from itertools import takewhile
 import pytest
 
 from griforge import (
-    ChiBeta,
     CompositeCtx,
     Modulus,
     Poly,
     RingCtx,
-    centered,
     eval_poly,
-    invmod,
-    is_prime,
     random_monic_irreducible,
 )
 from griforge.errors import ModulusMismatch
-from griforge.zmod import MAX_MODULUS_BITS, PSI_13, draws
+from griforge.gri import ChiBeta
+from griforge.zmod import MAX_MODULUS_BITS, PSI_13, centered, draws, is_prime
 from helpers import randint_short_elem, randrange_elem, randrange_monic_irreducible
 
 
@@ -36,28 +33,6 @@ def test_centered_reduce_random():
         r = centered(x, m.m)
         assert (r - x) % m.m == 0
         assert -m.m < 2 * r <= m.m
-
-
-def test_inv_examples():
-    assert invmod(3, Modulus(2, 3).m) == 3  # 3*3 = 9 = 1 mod 8
-    assert invmod(1, Modulus(7, 2).m) == 1
-    with pytest.raises(ValueError, match="not invertible"):
-        invmod(2, Modulus(2, 3).m)
-
-
-def test_inv_roundtrip_random():
-    rng = random.Random(1)
-    checked = 0
-    while checked < 200:
-        m = Modulus(rng.choice([2, 3, 5, 7, 13]), rng.randrange(1, 5))
-        a = centered(rng.randrange(1, m.m), m.m)
-        if a % m.p == 0:
-            with pytest.raises(ValueError):
-                invmod(a, m.m)
-            continue
-        inv = invmod(a, m.m)
-        assert centered(a * inv, m.m) == 1 and inv == centered(inv, m.m)
-        checked += 1
 
 
 def test_arith_examples():
