@@ -78,7 +78,7 @@ class GriInstance:
         return self if self.secret is None else replace(self, secret=None)
 
     @cached_property
-    def _chi_packed(self) -> tuple[tuple[int, ...], int, int]:
+    def _chi_packed(self) -> tuple[tuple[int, ...], int, int, tuple[int, int, int]]:
         """The forward packing of the secret iso for raw chi_beta draws x in [0, 2 beta]^n.
 
         ChiBeta checks beta first, and nothing is cached when it raises,
@@ -151,8 +151,10 @@ def oracle_strategy(secret: GriSecret, beta: int) -> Strategy:
     screened-out first candidate is skipped and box tests decide, so a
     game pair takes none when the uniform element comes last and one
     when it comes first, unless its coefficient 0 is within beta. A box
-    test (`linalg._in_box`) reads the slots of the candidate's packed
-    product with the inverse matrix and builds no pull-back element; as
+    test (`linalg._in_box`) runs on the candidate's packed product with
+    the inverse matrix and builds no pull-back element: at p = 2 it tests
+    the low s bits of every slot at once by a few masks and additions, no
+    carry crossing a slot, and at odd p it reads the slots one by one. As
     a full pull-back would, it refuses a candidate of another ring.
     """
     iso, m = secret.iso, secret.iso.src.m

@@ -277,8 +277,9 @@ def run_attack(
     are short relative to the Gaussian heuristic of the lattice (a
     reduced basis always contains vectors near the heuristic length,
     so only genuinely planted vectors pass a bound well below it).
-    Every candidate is re-verified as an exact lattice member, and its
-    expansion over the image rows is recorded; candidates whose
+    One of each +-v pair is re-verified as an exact lattice member and
+    solved for its expansion over the image rows; the other takes the
+    negated expansion, centered again mod p^s. Candidates whose
     expansions span all n coordinates pin down an inverse-matrix
     column set, which is full key recovery up to column order.
     gh_factor scales the heuristic bound and must be finite and > 0.
@@ -299,15 +300,20 @@ def run_attack(
     gh = _or_inf(lambda: math.sqrt(k / (2 * math.pi * math.e)) * math.exp(math.log(det) / k))
     bound_sq = _or_inf(lambda: (gh_factor * gh) ** 2)
     raw = extract_short_vectors(reduced, params.beta, norm_bound_sq=bound_sq)
-    candidates = []
+    candidates, combos = [], {}
     for cand in raw:
-        coords = solve_in_basis(cand.vector, basis)
-        if coords is None:  # reduced rows generate the same lattice
-            raise InvariantBreach("reduced-basis vector is not in the attack lattice")
-        combo = tuple(
-            centered(sum(coords[i] * transform[i][j] for i in range(len(coords))), m)
-            for j in range(n)
-        )
+        neg = combos.get(tuple(-x for x in cand.vector))
+        if neg is None:
+            coords = solve_in_basis(cand.vector, basis)
+            if coords is None:  # reduced rows generate the same lattice
+                raise InvariantBreach("reduced-basis vector is not in the attack lattice")
+            combo = tuple(
+                centered(sum(coords[i] * transform[i][j] for i in range(len(coords))), m)
+                for j in range(n)
+            )
+        else:  # -v's coordinates are minus v's
+            combo = tuple(centered(-c, m) for c in neg)
+        combos[cand.vector] = combo
         candidates.append(replace(cand, combo=combo))
     rank = len(_row_reduce([c.combo for c in candidates], params.p, params.p)[1])
     return AttackReport(

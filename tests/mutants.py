@@ -72,8 +72,20 @@ ROWS = [
      "if b < (x & mask) % m <= m - b:",
      [IN_BOX]),
     ("in-box-no-clamp", LINALG,
-     "(1 << w) - 1, max(beta, 0)",
-     "(1 << w) - 1, beta",
+     "offset), max(beta, 0)",
+     "offset), beta",
+     [IN_BOX]),
+    ("in-box-f2-bound-one-up", LINALG,
+     "(m - 1 - 2 * b) * ones",
+     "(m - 2 * b) * ones",
+     [IN_BOX]),
+    ("in-box-f2-no-wrap", LINALG,
+     "y = ((x & low) + b * ones) & low",
+     "y = (x & low) + b * ones",
+     [IN_BOX]),
+    ("in-box-f2-half-not-whole", LINALG,
+     "2 * b >= m or",
+     "2 * b > m or",
      [IN_BOX]),
     ("lowered-one-more", LINALG,
      "return rows, offset - k * sum(rows), w",
@@ -104,6 +116,10 @@ ROWS = [
      "        if not any(row):\n            continue\n",
      "",
      ["tests/test_lattice.py::test_extract_closed_under_negation_and_verified"]),
+    ("attack-negated-combo-uncentered", LATTICE,
+     "combo = tuple(centered(-c, m) for c in neg)",
+     "combo = tuple(-c for c in neg)",
+     ["tests/test_lattice.py::test_run_attack_combos_match_a_solve_of_each_candidate"]),
     ("oracle-boxes-every-first", GRI,
      "        first, last = pair\n",
      "        first, last = pair\n        short(first)\n",

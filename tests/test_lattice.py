@@ -15,6 +15,7 @@ from griforge import (
 )
 from griforge.errors import BadDelta, CtxMismatch
 from griforge.lattice import extract_short_vectors, render_report, solve_in_basis
+from griforge.zmod import centered
 from helpers import (
     enumerate_shortest,
     fraction_lll,
@@ -269,6 +270,22 @@ def test_run_attack_candidate_combos_reproduce_vectors():
             for j in range(inst.params.k)
         ]
         assert recon == [x % m for x in cand.vector]
+
+
+def test_run_attack_combos_match_a_solve_of_each_candidate():
+    # run_attack solves one of each +-v pair and negates its combo for the other; every
+    # combo must still be the centered combo that solving that candidate itself gives,
+    # also at an entry m/2, where centered(-c) and -centered(c) differ
+    inst = gen_instance(2, 8, 6, 1, 12, random.Random(10))
+    report = run_attack(inst.public_only())
+    m, n = inst.dst.m, inst.params.n
+    basis, transform = hnf_row_basis(build_attack_lattice(inst.images, inst.dst.modulus))
+    assert any(c == m // 2 for cand in report.candidates for c in cand.combo)
+    for cand in report.candidates:
+        coords = solve_in_basis(cand.vector, basis)
+        assert cand.combo == tuple(
+            centered(sum(c * t[j] for c, t in zip(coords, transform)), m) for j in range(n)
+        )
 
 
 def test_run_attack_hardened_typically_empty():

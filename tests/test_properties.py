@@ -229,6 +229,18 @@ def test_lowered_packing_takes_raw_draws(mbxa):
 @example((4, [-1, 2], [[3, 3], [3, 3]]))
 @example((9, [-4, -4], [[8, 8], [8, 8]]))
 @example((2**32, [2**31, 1 - 2**31], [[-1, 7], [2**32, -(2**31)]]))
+# m = 2, the narrowest slot per bit of m, with n >= 2 slots tested at once
+@example((2, [1, 1], [[1, 0], [1, 1]]))
+@example((2, [1, 1], [[1, 1], [1, 1]]))  # a zero product, in the box at beta = 0
+@example((2, [0, 1], [[1, 1], [0, 1]]))
+@example((2, [1] * 8, [[int(i == j) for j in range(8)] for i in range(8)]))
+@example((2, [1, 0, 1], [[1, -1, 0], [2, 0, 3], [0, 0, -1]]))
+# the widest m, with one pull-back entry at exactly m/2 next to entries in and out of the box
+@example((2**MAX_MODULUS_BITS, [2 ** (MAX_MODULUS_BITS - 1), 0], [[1, 0], [0, 1]]))
+@example((2**MAX_MODULUS_BITS, [2 ** (MAX_MODULUS_BITS - 1), 1], [[1, 1], [0, -1]]))
+@example((2**MAX_MODULUS_BITS, [2 ** (MAX_MODULUS_BITS - 1), -1, 3], [[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
+# entries at both edges of the widest box short of m/2, whose residues wrap past m
+@example((2**MAX_MODULUS_BITS, [2 ** (MAX_MODULUS_BITS - 1) - 1, 1 - 2 ** (MAX_MODULUS_BITS - 1)], [[1, 0], [0, 1]]))
 def test_in_box_matches_min_max_of_vec_mat(mva):
     m, v, a = mva
     packed = pack_rows(a, m)
