@@ -78,7 +78,7 @@ class GriInstance:
         return self if self.secret is None else replace(self, secret=None)
 
     @cached_property
-    def _chi_packed(self) -> tuple[tuple[int, ...], int, int, tuple[int, int, int]]:
+    def _chi_packed(self) -> linalg._Packed:
         """The forward packing of the secret iso for raw chi_beta draws x in [0, 2 beta]^n.
 
         ChiBeta checks beta first, and nothing is cached when it raises,

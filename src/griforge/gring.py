@@ -282,7 +282,7 @@ class Isomorphism:
     bwd: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def _packed(self) -> tuple[tuple, tuple]:
+    def _packed(self) -> tuple[linalg._Packed, linalg._Packed]:
         return linalg.pack_rows(self.fwd, self.dst.m), linalg.pack_rows(self.bwd, self.src.m)
 
     def apply(self, a: RingElem) -> RingElem:

@@ -1,27 +1,46 @@
 """Small dense-matrix helpers over Z/mZ with centered entries."""
 
+import struct
 from operator import mul
 
 from .poly import _pack, _unpack
 from .zmod import centered
 
+# the m = 2^s whose s-bit slots fill a struct code exactly, read signed, and that code
+_SIGNED = {1 << 8: "b", 1 << 16: "h", 1 << 32: "i", 1 << 64: "q"}
+# rows, offset, slot width w, masks, reader: what pack_rows returns
+_Packed = tuple[tuple[int, ...], int, int, tuple[int, int, int], struct.Struct | None]
 
-def pack_rows(a, m: int) -> tuple[tuple[int, ...], int, int, tuple[int, int, int]]:
-    """The rows of the square matrix a Kronecker-packed for vec_mat, the offset, width w, masks.
+
+def pack_rows(a, m: int) -> _Packed:
+    """The rows of the square matrix a Kronecker-packed for vec_mat, offset, width w, masks, reader.
 
     Row entries are packed as residues in [0, m). A centered v has entries
     in [-((m-1)//2), m//2], so slot j of the sum of v_i * row_i lies in
     [-n((m-1)//2)(m-1), n(m//2)(m-1)]. The offset holds off = m*ceil(n(m-1)/2)
     in every slot: off is 0 mod m and at least minus the lowest slot sum,
     so it lifts every slot into [0, 2^w) without changing its residue.
-    off >= m, so w >= bits(m). The masks, built once here for _in_box at
-    m = 2^s, hold 1, m - 1 and m in each of the n slots.
+    No slot carries into the next, so the lifted sum x is below 2^(n*w).
+    off >= m, so w >= bits(m) = s + 1 at m = 2^s. The masks, built once
+    here for _in_box at m = 2^s, hold 1, m - 1 and m in each of the n
+    slots. At m = 2^s <= 2^64, w is rounded up to whole bytes; a wider
+    slot still holds every lifted sum and w >= s + 1. The reader is then
+    a struct that reads all n slots from x's n*w/8 little-endian bytes:
+    per slot the smallest of 1, 2, 4 or 8 bytes that holds s bits, signed
+    when s is exactly that width, then pad bytes. Other m get no reader
+    (None).
     """
     n = len(a)
     off = m * ((n * (m - 1) + 1) // 2)
     w = (n * (m // 2) * (m - 1) + off).bit_length()
+    read = None
+    if not m & (m - 1) and m <= 1 << 64:
+        w = -(-w // 8) * 8
+        size, code = next((k, c) for k, c in zip((1, 2, 4, 8), "BHIQ") if m <= 1 << 8 * k)
+        code = _SIGNED.get(m, code)
+        read = struct.Struct("<" + (code + f"{w // 8 - size}x") * n)
     ones = ((1 << n * w) - 1) // ((1 << w) - 1)  # 1 in each of the n slots
-    return tuple(_pack(r, w, m) for r in a), off * ones, w, (ones, (m - 1) * ones, m * ones)
+    return tuple(_pack(r, w, m) for r in a), off * ones, w, (ones, (m - 1) * ones, m * ones), read
 
 
 def vec_mat(v, packed, m: int) -> list[int]:
@@ -30,10 +49,19 @@ def vec_mat(v, packed, m: int) -> list[int]:
     One sum of v_i * row_i over the offset. v must be centered mod m,
     the range that pack_rows sizes the offset and slot width for, or be
     raw draws x_i = v_i + k with packed from _lowered(packed, k), which
-    gives every slot the same sum.
+    gives every slot the same sum. With a reader, one struct read gives
+    every slot. A signed read of exactly s bits lies in [-m/2, m/2), so it
+    is centered except where it reads -m/2, whose centered value is m/2;
+    an unsigned read is masked to its low s bits and centered.
     """
-    rows, offset, w, _ = packed
-    return _unpack(sum(map(mul, v, rows), offset), w, len(rows), m)
+    rows, offset, w, _, read = packed
+    x = sum(map(mul, v, rows), offset)
+    if read is None:
+        return _unpack(x, w, len(rows), m)
+    out, half = read.unpack(x.to_bytes(read.size, "little")), m // 2
+    if m in _SIGNED:
+        return [half if r == -half else r for r in out] if -half in out else list(out)
+    return [r - m if r > half else r for r in map((m - 1).__and__, out)]
 
 
 def _lowered(packed, k: int):
@@ -42,8 +70,8 @@ def _lowered(packed, k: int):
     sum((v_i + k) * row_i) is sum(v_i * row_i) + k * sum(rows), so over the
     lowered offset vec_mat of the shifted vector is vec_mat of v itself.
     """
-    rows, offset, w, masks = packed
-    return rows, offset - k * sum(rows), w, masks
+    rows, offset, w, masks, read = packed
+    return rows, offset - k * sum(rows), w, masks, read
 
 
 def _in_box(v, packed, m: int, beta: int) -> bool:
@@ -59,7 +87,7 @@ def _in_box(v, packed, m: int, beta: int) -> bool:
     of the box. A negative beta counts as 0, so a zero product is in the
     box at every beta; a beta of at least m/2 admits every vector.
     """
-    rows, offset, w, (ones, low, high) = packed
+    rows, offset, w, (ones, low, high), _ = packed
     x, b = sum(map(mul, v, rows), offset), max(beta, 0)
     if not m & (m - 1):
         y = ((x & low) + b * ones) & low

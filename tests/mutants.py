@@ -43,6 +43,9 @@ IN_BOX = "tests/test_properties.py::test_in_box_matches_min_max_of_vec_mat"
 LOWERED = "tests/test_properties.py::test_lowered_packing_takes_raw_draws"
 F2_ROOT = "tests/test_ffield.py::test_find_root_f2_matches_list_kernel"
 NON_INTEGER = "tests/test_lattice.py::test_entry_points_refuse_non_integer_entries"
+SLOT_READ = ["tests/test_linalg.py::test_vec_mat_offset_covers_the_extreme_slot_sums",
+             "tests/test_gring.py::test_packed_vec_mat_matches_plain_sum", LOWERED,
+             "tests/test_gring.py::test_apply_outputs_are_canonical"]
 
 # (name, file, old text, new text, node ids that must fail)
 ROWS = [
@@ -95,6 +98,18 @@ ROWS = [
      "return rows, offset - k * sum(rows), w",
      "return rows, offset - (k - 1) * sum(rows), w",
      [LOWERED]),
+    ("read-keeps-minus-half", LINALG,
+     "[half if r == -half else r for r in out] if -half in out else list(out)",
+     "list(out)",
+     SLOT_READ),
+    ("read-unmasked", LINALG,
+     "map((m - 1).__and__, out)",
+     "out",
+     SLOT_READ),
+    ("byte-width-rounded-down", LINALG,
+     "w = -(-w // 8) * 8",
+     "w = w // 8 * 8",
+     SLOT_READ),
     ("root-check-below-top-digit", GRING,
      "sum(map(operator.mul, src.f.coeffs, col)) % m for col",
      "sum(map(operator.mul, src.f.coeffs, col)) % (m // dst.p) for col",

@@ -255,8 +255,8 @@ def test_matrix_apply_matches_composition():
 
 
 @pytest.mark.parametrize(
-    "m", [2, 9, 2**32, 2**64, 65537**3, 2**MAX_MODULUS_BITS],
-    ids=["2", "9", "2^32", "2^64", "65537^3", "2^4096"],
+    "m", [2, 9, 2**7, 2**8, 2**9, 2**16, 2**20, 2**32, 2**63, 2**64, 2**65, 65537**3, 2**MAX_MODULUS_BITS],
+    ids=["2", "9", "2^7", "2^8", "2^9", "2^16", "2^20", "2^32", "2^63", "2^64", "2^65", "65537^3", "2^4096"],
 )
 def test_packed_vec_mat_matches_plain_sum(m):
     rng = random.Random(m % 1013)
@@ -266,6 +266,7 @@ def test_packed_vec_mat_matches_plain_sum(m):
         return [centered(sum(v[i] * a[i][j] for i in range(len(a))), m) for j in range(len(a))]
 
     cases = [([5], [[7]]), ([0], [[3]]), ([], [[3]]), ([-1], [[-1]])]
+    cases += [([m // 2], [[1]]), ([m // 2], [[-1]])]  # an output of exactly m/2 at even m
     for n in (1, 2, 7, 24, 40):
         cases.append(([-1] * n, [[-1] * n for _ in range(n)]))  # widest slot sums
         cases.append(([0] * n, [[rng.randrange(m) for _ in range(n)] for _ in range(n)]))
@@ -322,8 +323,9 @@ def test_canonical_form_takes_integers_only():
                 build(bad)
 
 
-@pytest.mark.parametrize("p, s, n", [(2, 8, 6), (3, 10, 5), (251, 1, 4), (2, MAX_MODULUS_BITS, 3)],
-                         ids=["2^8", "3^10", "251", "2^4096"])
+@pytest.mark.parametrize("p, s, n",
+                         [(2, 8, 6), (2, 20, 4), (2, 64, 3), (3, 10, 5), (251, 1, 4), (2, MAX_MODULUS_BITS, 3)],
+                         ids=["2^8", "2^20", "2^64", "3^10", "251", "2^4096"])
 def test_apply_outputs_are_canonical(p, s, n):
     rng = random.Random(p + s + n)
     mod = Modulus(p, s)

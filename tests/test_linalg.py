@@ -33,7 +33,11 @@ def test_mat_inv_mod_singular_mod_p_only():
         mat_inv_mod([[2, 0], [0, 1]], 4, 2)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 9, 2**8, 3**10, 2**32, 2**MAX_MODULUS_BITS])
+# m = 2^s up to 2^64 reads its slots in one struct read: unsigned and masked to s bits
+# (2, 4, 2^7, 2^9, 2^20, 2^63) or signed at exactly 8, 16, 32 and 64 bits; 2^65 and odd m
+# read slot by slot. n = 1 with v = [m/2] gives an output of exactly m/2 at each even m.
+@pytest.mark.parametrize("m", [2, 3, 4, 9, 2**7, 2**8, 2**9, 3**10, 2**16, 2**20, 2**32, 2**63,
+                               2**64, 2**65, 2**MAX_MODULUS_BITS])
 def test_vec_mat_offset_covers_the_extreme_slot_sums(m):
     # a centered v at either edge of its range against entries m - 1 gives the
     # most negative and the most positive slot sums the offset and width allow for

@@ -215,11 +215,17 @@ def _raw_draws_and_matrix(draw, max_n=8):
 @example((3**5, 121, [242], [[1]]))
 @example((2**32, 2**31 - 1, [0], [[1]]))
 @example((2**32, 2**31 - 1, [2**32 - 2], [[2**32 - 1]]))
+@example((2**16, 2**15 - 1, [0], [[1]]))
+@example((2**16, 2**15 - 1, [2**16 - 2], [[2**16 - 1]]))
+@example((2**64, 2**63 - 1, [0], [[1]]))
+@example((2**64, 2**63 - 1, [2**64 - 2], [[2**64 - 1]]))
+@example((2**64, 2**63 - 1, [2**63], [[2**63]]))  # v = [1]: an output of exactly m/2
 def test_lowered_packing_takes_raw_draws(mbxa):
     # challenge_from_instance feeds chi_beta's raw draws in [0, 2 beta] to vec_mat
     m, beta, x, a = mbxa
     packed = pack_rows(a, m)
-    assert vec_mat(x, _lowered(packed, beta), m) == vec_mat([c - beta for c in x], packed, m)
+    v = [c - beta for c in x]
+    assert vec_mat(x, _lowered(packed, beta), m) == vec_mat(v, packed, m) == _plain_vec_mat(v, a, m)
 
 
 @given(_vector_and_matrix())
