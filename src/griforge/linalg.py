@@ -6,7 +6,7 @@ from operator import mul
 from .poly import _pack, _unpack
 from .zmod import centered
 
-# the m = 2^s whose s-bit slots fill a struct code exactly, read signed, and that code
+# the m = 2^s whose s-bit slots fill a signed struct code exactly, and that code
 _SIGNED = {1 << 8: "b", 1 << 16: "h", 1 << 32: "i", 1 << 64: "q"}
 # rows, offset, slot width w, masks, reader: what pack_rows returns
 _Packed = tuple[tuple[int, ...], int, int, tuple[int, int, int], struct.Struct | None]
@@ -23,22 +23,19 @@ def pack_rows(a, m: int) -> _Packed:
     No slot carries into the next, so the lifted sum x is below 2^(n*w).
     off >= m, so w >= bits(m) = s + 1 at m = 2^s. The masks, built once
     here for _in_box at m = 2^s, hold 1, m - 1 and m in each of the n
-    slots. At m = 2^s <= 2^64, w is rounded up to whole bytes; a wider
-    slot still holds every lifted sum and w >= s + 1. The reader is then
-    a struct that reads all n slots from x's n*w/8 little-endian bytes:
-    per slot the smallest of 1, 2, 4 or 8 bytes that holds s bits, signed
-    when s is exactly that width, then pad bytes. Other m get no reader
-    (None).
+    slots. At m = 2^8, 2^16, 2^32 and 2^64, w is rounded up to whole
+    bytes; a wider slot still holds every lifted sum and w >= s + 1. The
+    reader is then a struct that reads all n slots from x's n*w/8
+    little-endian bytes: per slot the s/8 bytes of its residue, signed,
+    then pad bytes. Other m get no reader (None).
     """
     n = len(a)
     off = m * ((n * (m - 1) + 1) // 2)
     w = (n * (m // 2) * (m - 1) + off).bit_length()
     read = None
-    if not m & (m - 1) and m <= 1 << 64:
+    if m in _SIGNED:
         w = -(-w // 8) * 8
-        size, code = next((k, c) for k, c in zip((1, 2, 4, 8), "BHIQ") if m <= 1 << 8 * k)
-        code = _SIGNED.get(m, code)
-        read = struct.Struct("<" + (code + f"{w // 8 - size}x") * n)
+        read = struct.Struct("<" + f"{_SIGNED[m]}{w // 8 - (m.bit_length() - 1) // 8}x" * n)
     ones = ((1 << n * w) - 1) // ((1 << w) - 1)  # 1 in each of the n slots
     return tuple(_pack(r, w, m) for r in a), off * ones, w, (ones, (m - 1) * ones, m * ones), read
 
@@ -51,17 +48,14 @@ def vec_mat(v, packed, m: int) -> list[int]:
     raw draws x_i = v_i + k with packed from _lowered(packed, k), which
     gives every slot the same sum. With a reader, one struct read gives
     every slot. A signed read of exactly s bits lies in [-m/2, m/2), so it
-    is centered except where it reads -m/2, whose centered value is m/2;
-    an unsigned read is masked to its low s bits and centered.
+    is centered except where it reads -m/2, whose centered value is m/2.
     """
     rows, offset, w, _, read = packed
     x = sum(map(mul, v, rows), offset)
     if read is None:
         return _unpack(x, w, len(rows), m)
     out, half = read.unpack(x.to_bytes(read.size, "little")), m // 2
-    if m in _SIGNED:
-        return [half if r == -half else r for r in out] if -half in out else list(out)
-    return [r - m if r > half else r for r in map((m - 1).__and__, out)]
+    return [half if r == -half else r for r in out] if -half in out else list(out)
 
 
 def _lowered(packed, k: int):

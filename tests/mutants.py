@@ -102,10 +102,6 @@ ROWS = [
      "[half if r == -half else r for r in out] if -half in out else list(out)",
      "list(out)",
      SLOT_READ),
-    ("read-unmasked", LINALG,
-     "map((m - 1).__and__, out)",
-     "out",
-     SLOT_READ),
     ("byte-width-rounded-down", LINALG,
      "w = -(-w // 8) * 8",
      "w = w // 8 * 8",

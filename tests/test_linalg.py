@@ -33,9 +33,9 @@ def test_mat_inv_mod_singular_mod_p_only():
         mat_inv_mod([[2, 0], [0, 1]], 4, 2)
 
 
-# m = 2^s up to 2^64 reads its slots in one struct read: unsigned and masked to s bits
-# (2, 4, 2^7, 2^9, 2^20, 2^63) or signed at exactly 8, 16, 32 and 64 bits; 2^65 and odd m
-# read slot by slot. n = 1 with v = [m/2] gives an output of exactly m/2 at each even m.
+# m = 2^8, 2^16, 2^32 and 2^64 read their slots in one signed struct read; the 2^s next to
+# them (2^7, 2^9, 2^63, 2^65) and other m read slot by slot. n = 1 with v = [m/2] gives an
+# output of exactly m/2 at each even m.
 @pytest.mark.parametrize("m", [2, 3, 4, 9, 2**7, 2**8, 2**9, 3**10, 2**16, 2**20, 2**32, 2**63,
                                2**64, 2**65, 2**MAX_MODULUS_BITS])
 def test_vec_mat_offset_covers_the_extreme_slot_sums(m):
